@@ -2,7 +2,6 @@
 and a sample-count sweep that measures how tracking accuracy scales with the
 size of the training grid."""
 
-from ._kernels import BACKEND
 from .bound import (BoundReport, compute_bound_report, error_bound_at,
                     jacobian_at, jacobian_inf_norm_bound, lipschitz_gamma,
                     mean_abs_output_weight, rescale_to_mm, sample_bound)
@@ -18,7 +17,7 @@ from .kinematics import (DEFAULT_GEOMETRY, RobotGeometry, forward_kinematics,
 from .neuralnet import (AdamState, Gradients, NetworkParams, TrainingConfig,
                         TrainingTrace, adam_step, backward, forward,
                         init_adam_state, init_params, loss, predict,
-                        split_dataset, train)
+                        split_dataset, train, train_many)
 from .sampler import (DEFAULT_BOX, TrainingSet, WorkspaceBox, denormalize_input,
                       generate_grid, half_spacing_normalized, normalize_input,
                       spacing_mm)

@@ -1,140 +1,95 @@
-"""Hot numeric kernels: batched forward pass, backprop, and the per-epoch
-mini-batch Adam loop.
+"""Numeric kernels: the forward pass, backprop, and one epoch of mini-batch
+Adam for a stack of S models trained in lockstep.
 
-Each kernel is written in a numba-compatible numpy subset and compiled with
-``@njit`` on import when numba is available. numba is optional: the plain
-numpy implementations (the ``*_numpy`` functions below, which stay importable
-either way for benchmarking) are chosen automatically when ``import numba``
-raises ``ImportError``. They are also forced when ``IKANN_DISABLE_NUMBA`` is
-set to ``1``, ``true``, ``yes`` or ``on`` (any case, surrounding spaces
-ignored); any other value, or none, leaves numba enabled. ``BACKEND`` reports
-which path is active: ``"numba"`` or ``"numpy"``.
-
-Weight layout inside kernels is transposed relative to the public
-``NetworkParams`` so every matmul runs on C-contiguous operands:
+The parameters of a stack live in one (S, P) float64 array, one row per
+model, so Adam updates every weight of every model with one call per
+operation. A row holds, in order and flattened:
 
     a1: (3, hidden)   input-to-hidden weights
+    b1: (hidden,)
     a2: (hidden, 3)   hidden-to-output weights
-"""
+    b2: (3,)
 
-import os
+so P = 7 * hidden + 3. The weights are transposed relative to the public
+``NetworkParams`` so every matmul runs on C-contiguous operands.
+
+Each product is one ``np.matmul`` over the stack; elementwise operations and
+per-model sums never mix models. Slice s of a stacked step is therefore
+bitwise the step model s would take alone. This needs the transposed
+operands of the backward products to be C-contiguous copies: a transposed
+view can round differently when a batch has a single row.
+"""
 
 import numpy as np
 
 
-def forward_batch_numpy(a1, b1, a2, b2, x):
-    """Network output for a batch of normalized inputs x (B, 3) -> (B, 3)."""
-    h = np.maximum(np.dot(x, a1) + b1, 0.0)
-    return np.dot(h, a2) + b2
+def unpack(theta, hidden):
+    """Views (a1, b1, a2, b2) into flat parameter rows theta (..., P)."""
+    lead = theta.shape[:-1]
+    h3 = 3 * hidden
+    return (theta[..., :h3].reshape(lead + (3, hidden)),
+            theta[..., h3:h3 + hidden],
+            theta[..., h3 + hidden:2 * h3 + hidden].reshape(lead + (hidden, 3)),
+            theta[..., 2 * h3 + hidden:])
 
 
-def mse_batch_numpy(a1, b1, a2, b2, x, y):
-    """MSE over batch rows and the 3 output components."""
-    h = np.maximum(np.dot(x, a1) + b1, 0.0)
-    err = np.dot(h, a2) + b2 - y
-    return np.sum(err * err) / (err.shape[0] * 3.0)
+def forward(a1, b1, a2, b2, x):
+    """Network output for normalized inputs x (..., B, 3) -> (..., B, 3)."""
+    h = np.maximum(x @ a1 + b1[..., None, :], 0.0)
+    return h @ a2 + b2[..., None, :]
 
 
-def batch_gradients_numpy(a1, b1, a2, b2, x, y):
-    """Exact MSE gradients for one batch; ReLU subgradient at 0 is 0.
+def mse(a1, b1, a2, b2, x, y):
+    """MSE over batch rows and the 3 output components, one per model."""
+    err = forward(a1, b1, a2, b2, x) - y
+    return np.sum(err * err, axis=(-2, -1)) / (err.shape[-2] * 3.0)
 
-    Returns (ga1, gb1, ga2, gb2) in kernel layout.
+
+def gradients(a1, b1, a2, b2, x, y):
+    """Exact MSE gradients of a stack for one batch x, y (S, B, 3); the ReLU
+    subgradient at 0 is 0.
+
+    Returns (err, g): the output errors (S, B, 3) and the gradients as flat
+    rows (S, P) in the layout of the parameters.
     """
-    pre = np.dot(x, a1) + b1
+    pre = x @ a1 + b1[:, None, :]
     h = np.maximum(pre, 0.0)
-    out = np.dot(h, a2) + b2
-    dout = (out - y) * (2.0 / (x.shape[0] * 3.0))
-    ga2 = np.dot(np.ascontiguousarray(h.T), dout)
-    gb2 = dout.sum(axis=0)
-    dh = np.dot(dout, np.ascontiguousarray(a2.T))
+    err = h @ a2 + b2[:, None, :] - y
+    dout = err * (2.0 / (x.shape[1] * 3.0))
+    ga2 = np.ascontiguousarray(h.transpose(0, 2, 1)) @ dout
+    gb2 = dout.sum(axis=1)
+    dh = dout @ np.ascontiguousarray(a2.transpose(0, 2, 1))
     dh = np.where(pre > 0.0, dh, 0.0)
-    ga1 = np.dot(np.ascontiguousarray(x.T), dh)
-    gb1 = dh.sum(axis=0)
-    return ga1, gb1, ga2, gb2
+    ga1 = np.ascontiguousarray(x.transpose(0, 2, 1)) @ dh
+    gb1 = dh.sum(axis=1)
+    s = x.shape[0]
+    return err, np.concatenate((ga1.reshape(s, -1), gb1, ga2.reshape(s, -1), gb2), axis=1)
 
 
-def epoch_step_numpy(a1, b1, a2, b2,
-                     m_a1, v_a1, m_b1, v_b1, m_a2, v_a2, m_b2, v_b2,
-                     x, y, order, batch_size, lr, beta1, beta2, eps, step0):
-    """One epoch of mini-batch Adam, mutating params and moments in place.
+def epoch_step(theta, m, v, hidden, x, y, batch_size, lr, beta1, beta2, eps, step0):
+    """One epoch of mini-batch Adam for a stack, mutating theta and the
+    moments m, v (all (S, P)) in place.
 
-    ``order`` is the shuffled index array for this epoch; ``step0`` the Adam
-    step counter so far. Returns (step, epoch_loss) where epoch_loss is the
-    sample-weighted mean of the pre-update batch losses.
+    x, y (S, n, 3) are each model's training inputs and targets, already in
+    this epoch's shuffled order. ``step0`` is the Adam step counter so far,
+    shared by the stack. Returns (step, losses) where losses (S,) holds each
+    model's sample-weighted mean of the pre-update batch losses.
     """
-    n = order.shape[0]
-    sse = 0.0
+    a1, b1, a2, b2 = unpack(theta, hidden)
+    n = x.shape[1]
+    sse = np.zeros(theta.shape[0])
     step = step0
-    start = 0
-    while start < n:
-        stop = min(start + batch_size, n)
-        xb = x[order[start:stop]]
-        yb = y[order[start:stop]]
-        bs = stop - start
-
-        pre = np.dot(xb, a1) + b1
-        h = np.maximum(pre, 0.0)
-        out = np.dot(h, a2) + b2
-        err = out - yb
-        sse += np.sum(err * err)
-
-        dout = err * (2.0 / (bs * 3.0))
-        ga2 = np.dot(np.ascontiguousarray(h.T), dout)
-        gb2 = dout.sum(axis=0)
-        dh = np.dot(dout, np.ascontiguousarray(a2.T))
-        dh = np.where(pre > 0.0, dh, 0.0)
-        ga1 = np.dot(np.ascontiguousarray(xb.T), dh)
-        gb1 = dh.sum(axis=0)
+    for start in range(0, n, batch_size):
+        stop = start + batch_size
+        err, g = gradients(a1, b1, a2, b2, x[:, start:stop], y[:, start:stop])
+        sse += np.sum(err * err, axis=(1, 2))
 
         step += 1
         bc1 = 1.0 - beta1 ** step
         bc2 = 1.0 - beta2 ** step
-
-        m_a1[:] = beta1 * m_a1 + (1.0 - beta1) * ga1
-        v_a1[:] = beta2 * v_a1 + (1.0 - beta2) * (ga1 * ga1)
-        a1 -= lr * (m_a1 / bc1) / (np.sqrt(v_a1 / bc2) + eps)
-
-        m_b1[:] = beta1 * m_b1 + (1.0 - beta1) * gb1
-        v_b1[:] = beta2 * v_b1 + (1.0 - beta2) * (gb1 * gb1)
-        b1 -= lr * (m_b1 / bc1) / (np.sqrt(v_b1 / bc2) + eps)
-
-        m_a2[:] = beta1 * m_a2 + (1.0 - beta1) * ga2
-        v_a2[:] = beta2 * v_a2 + (1.0 - beta2) * (ga2 * ga2)
-        a2 -= lr * (m_a2 / bc1) / (np.sqrt(v_a2 / bc2) + eps)
-
-        m_b2[:] = beta1 * m_b2 + (1.0 - beta1) * gb2
-        v_b2[:] = beta2 * v_b2 + (1.0 - beta2) * (gb2 * gb2)
-        b2 -= lr * (m_b2 / bc1) / (np.sqrt(v_b2 / bc2) + eps)
-
-        start = stop
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return step, sse / (n * 3.0)
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("IKANN_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _jit = njit(cache=True, nogil=True)
-        forward_batch = _jit(forward_batch_numpy)
-        mse_batch = _jit(mse_batch_numpy)
-        batch_gradients = _jit(batch_gradients_numpy)
-        epoch_step = _jit(epoch_step_numpy)
-        BACKEND = "numba"
-    else:
-        forward_batch = forward_batch_numpy
-        mse_batch = mse_batch_numpy
-        batch_gradients = batch_gradients_numpy
-        epoch_step = epoch_step_numpy
-        BACKEND = "numpy"
-else:
-    forward_batch = forward_batch_numpy
-    mse_batch = mse_batch_numpy
-    batch_gradients = batch_gradients_numpy
-    epoch_step = epoch_step_numpy
-    BACKEND = "numpy"

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .bound import compute_bound_report
 from .errors import IkannError, NonFiniteLoss, UnreachableGridPoint
 from .harness import (HarnessConfig, emit_report, export_dataset,
@@ -81,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", default=None, metavar="DIR",
                    help="write per-run training curves into DIR")
     p.add_argument("--path", choices=[RECTANGLE, HEART], default=RECTANGLE)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("dataset", help="export a k^3 training grid as CSV")
     p.add_argument("--samples-per-axis", type=int, required=True, metavar="K")
@@ -141,7 +139,7 @@ def _cmd_sweep(args, geom, box, seed):
     base = 1 if seed is None else seed
     seeds = list(range(base, base + args.repeats))
     cfg = HarnessConfig(geom=geom, box=box, path_kind=args.path)
-    result = run_sweep(ks, seeds, cfg, workers=args.workers)
+    result = run_sweep(ks, seeds, cfg)
 
     if args.curves:
         curves_dir = Path(args.curves)
@@ -150,7 +148,7 @@ def _cmd_sweep(args, geom, box, seed):
             write_training_curve(trace, curves_dir / f"k{k}_seed{s}.csv")
 
     metadata = cfg.metadata()
-    metadata.update({"axis_counts": ks, "seeds": seeds, "backend": _kernels.BACKEND})
+    metadata.update({"axis_counts": ks, "seeds": seeds})
     emit_report(result.rows, result.summary, args.report,
                 json_path=args.json, metadata=metadata)
 

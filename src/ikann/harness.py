@@ -1,25 +1,26 @@
 """Experiment orchestration: single runs, the samples-per-axis sweep,
 convergence-rate fitting, and CSV/JSON persistence.
 
-Runs are deterministic per (k, seed, config). The sweep may fan runs out to a
-thread pool; results are collected keyed by (k, seed) and emitted in sorted
-order, so concurrency never changes the report file.
+Runs are deterministic per (k, seed, config). The sweep builds each k's grid
+once and trains all seeds of that k in lockstep (``neuralnet.train_many``);
+a model trained in the stack computes exactly what it computes alone, so the
+rows never depend on how cells are grouped. Rows are emitted sorted by
+(k, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bound as bound_mod
-from .errors import InsufficientData, NonFiniteLoss, UnreachableGridPoint
+from .errors import InsufficientData, UnreachableGridPoint
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry
-from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace,
-                        SPLIT_ROUNDING, split_dataset, train)
+from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace, SPLIT_ROUNDING,
+                        split_sizes, train, train_many)
 from .sampler import DEFAULT_BOX, TrainingSet, WorkspaceBox, generate_grid, spacing_mm
 from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
                          evaluate_tracking, make_heart_path,
@@ -204,11 +205,9 @@ class SweepResult:
     traces: dict | None = None
 
 
-def _run_cell(k: int, seed: int, cfg: HarnessConfig) -> CellResult:
-    ds = generate_grid(cfg.box, k, cfg.geom)
-    tcfg = cfg.training_config(seed)
-    split = split_dataset(ds, tcfg, seed)
-    params, trace = train(ds, tcfg)
+def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig,
+                 params: NetworkParams, trace: TrainingTrace) -> CellResult:
+    """Track and bound one trained model and build its row."""
     report = evaluate_tracking(params, cfg.make_path(), cfg.geom, cfg.box)
     breport = bound_mod.compute_bound_report(params, ds.n, cfg.box,
                                              cfg.bound_scale_mm, cfg.pinned_w_bar)
@@ -223,16 +222,22 @@ def _run_cell(k: int, seed: int, cfg: HarnessConfig) -> CellResult:
         final_train_loss=trace.train_loss[-1],
         final_val_loss=trace.val_loss[-1],
         path_kind=cfg.path_kind,
-        split_sizes="/".join(str(s) for s in split.sizes()),
+        split_sizes="/".join(str(s) for s in split_sizes(ds.n, cfg.training_config(seed))),
     )
     return CellResult(row=row, params=params, trace=trace)
 
 
+def _check_ks(ks):
+    if not all(2 <= k <= 12 for k in ks):
+        raise ValueError("samples per axis must lie in [2, 12]")
+
+
 def run_experiment(k: int, seed: int, cfg: HarnessConfig = HarnessConfig()) -> SweepRow:
     """Grid -> train -> track -> bound for one (k, seed); returns the row."""
-    if not 2 <= k <= 12:
-        raise ValueError("samples per axis must lie in [2, 12]")
-    return _run_cell(k, seed, cfg).row
+    _check_ks([k])
+    ds = generate_grid(cfg.box, k, cfg.geom)
+    params, trace = train(ds, cfg.training_config(seed))
+    return _finish_cell(k, seed, ds, cfg, params, trace).row
 
 
 def _failed_row(k: int, seed: int, cfg: HarnessConfig, exc: Exception) -> SweepRow:
@@ -245,26 +250,29 @@ def _failed_row(k: int, seed: int, cfg: HarnessConfig, exc: Exception) -> SweepR
 
 
 def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
-              keep_models: bool = False, workers: int = 1) -> SweepResult:
+              keep_models: bool = False) -> SweepResult:
     """Run every (k, seed) combination; failed cells become marker rows and the
     sweep continues. Rows come back sorted by (k, seed)."""
     ks, seeds = list(ks), list(seeds)
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
+    _check_ks(ks)
     cells = [(k, s) for k in sorted(ks) for s in sorted(seeds)]
-
-    def one(cell):
-        k, s = cell
+    group = sorted(set(seeds))
+    results = {}
+    for k in sorted(set(ks)):
+        # one grid per k, all seeds in lockstep; an unreachable grid fails
+        # every seed of k, a diverged model only its own cell
         try:
-            return cell, _run_cell(k, s, cfg)
-        except (UnreachableGridPoint, NonFiniteLoss) as exc:
-            return cell, CellResult(row=_failed_row(k, s, cfg, exc), params=None, trace=None)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, cells))
-    else:
-        results = dict(one(c) for c in cells)
+            ds = generate_grid(cfg.box, k, cfg.geom)
+            trained = train_many(ds, [cfg.training_config(s) for s in group])
+        except UnreachableGridPoint as exc:
+            trained = [exc] * len(group)
+        for s, t in zip(group, trained):
+            if isinstance(t, Exception):
+                results[(k, s)] = CellResult(row=_failed_row(k, s, cfg, t), params=None, trace=None)
+            else:
+                results[(k, s)] = _finish_cell(k, s, ds, cfg, *t)
 
     rows = [results[c].row for c in cells]
     summary = summarize(rows)
@@ -332,7 +340,7 @@ def emit_report(rows, summary: SweepSummary, path, json_path=None, metadata: dic
     if json_path:
         doc = {
             "meta": metadata or {},
-            "rows": [dict(zip(REPORT_COLUMNS, line.split(","))) for line in lines[1:]],
+            "rows": [asdict(r) for r in rows],
             "summary": summary.as_dict(),
         }
         with open(json_path, "w") as fh:
@@ -344,6 +352,8 @@ def load_report(path) -> list:
     """Read a sweep CSV back into validated rows."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty report file")
     if lines[0] != ",".join(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected report header")
     rows = []
@@ -443,6 +453,8 @@ def import_dataset(path):
     """Read back an exported grid; returns (points, angles) arrays."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty dataset file")
     if lines[0] != DATASET_HEADER:
         raise ValueError(f"{path}: unexpected dataset header")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

@@ -3,13 +3,14 @@ layer, 3 linear outputs. Mini-batch Adam, seeded splits and shuffles, optional
 early stopping on validation loss.
 
 All arithmetic is float64. Given identical dataset, config, and seed the
-trained parameters are bitwise reproducible (per kernel backend).
+trained parameters are bitwise reproducible, whether a model is trained alone
+or in lockstep with others.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,14 +117,14 @@ def init_params(hidden: int, seed: int) -> NetworkParams:
     return NetworkParams(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(3))
 
 
-def _kernel_layout(p: NetworkParams):
-    return (np.ascontiguousarray(p.w1.T), p.b1.copy(),
-            np.ascontiguousarray(p.w2.T), p.b2.copy())
+def _flat_row(p: NetworkParams) -> np.ndarray:
+    """The parameters as one flat row in the kernels' layout."""
+    return np.concatenate((p.w1.T.ravel(), p.b1, p.w2.T.ravel(), p.b2))
 
 
-def _from_kernel_layout(a1, b1, a2, b2) -> NetworkParams:
-    return NetworkParams(w1=np.ascontiguousarray(a1.T), b1=b1.copy(),
-                         w2=np.ascontiguousarray(a2.T), b2=b2.copy())
+def _params_from_row(theta: np.ndarray, hidden: int) -> NetworkParams:
+    a1, b1, a2, b2 = _kernels.unpack(theta, hidden)
+    return NetworkParams(w1=a1.T.copy(), b1=b1.copy(), w2=a2.T.copy(), b2=b2.copy())
 
 
 def forward(p: NetworkParams, x_norm) -> np.ndarray:
@@ -134,27 +135,24 @@ def forward(p: NetworkParams, x_norm) -> np.ndarray:
 
 def predict(p: NetworkParams, x_norm: np.ndarray) -> np.ndarray:
     """Batched network output for an (N, 3) array of normalized inputs."""
-    a1, b1, a2, b2 = _kernel_layout(p)
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
-    return _kernels.forward_batch(a1, b1, a2, b2, x)
+    return _kernels.forward(*_kernels.unpack(_flat_row(p), p.hidden), x)
 
 
 def loss(p: NetworkParams, x_norm: np.ndarray, q_target: np.ndarray) -> float:
     """MSE over the batch and over the 3 output components, in rad^2."""
-    a1, b1, a2, b2 = _kernel_layout(p)
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(q_target, dtype=float)))
-    return float(_kernels.mse_batch(a1, b1, a2, b2, x, y))
+    return float(_kernels.mse(*_kernels.unpack(_flat_row(p), p.hidden), x, y))
 
 
 def backward(p: NetworkParams, x_norm: np.ndarray, q_target: np.ndarray) -> Gradients:
     """Exact gradient of :func:`loss` for the batch (ReLU subgradient at 0 is 0)."""
-    a1, b1, a2, b2 = _kernel_layout(p)
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(q_target, dtype=float)))
-    ga1, gb1, ga2, gb2 = _kernels.batch_gradients(a1, b1, a2, b2, x, y)
-    return Gradients(w1=np.ascontiguousarray(ga1.T), b1=gb1,
-                     w2=np.ascontiguousarray(ga2.T), b2=gb2)
+    _, g = _kernels.gradients(*_kernels.unpack(_flat_row(p)[None], p.hidden), x[None], y[None])
+    ga1, gb1, ga2, gb2 = _kernels.unpack(g[0], p.hidden)
+    return Gradients(w1=ga1.T.copy(), b1=gb1, w2=ga2.T.copy(), b2=gb2)
 
 
 def init_adam_state(p: NetworkParams) -> AdamState:
@@ -187,89 +185,126 @@ def _round_half_up(x: float) -> int:
 SPLIT_ROUNDING = "half-up, floor of 1 sample each for val/test"
 
 
-def split_dataset(ds: TrainingSet, cfg: TrainingConfig, seed: int) -> SplitIndices:
-    """Seeded shuffle split into train/val/test index sets.
+def split_sizes(n: int, cfg: TrainingConfig) -> tuple:
+    """(train, val, test) sizes for n samples.
 
     Val and test sizes are round-half-up of fraction*n with a floor of one
     sample whenever the fraction is nonzero.
     """
-    n = ds.n
-
     def size(frac):
         return max(1, _round_half_up(frac * n)) if frac > 0 else 0
 
     n_val, n_test = size(cfg.val_fraction), size(cfg.test_fraction)
     if n_val + n_test >= n:
         raise ValueError("val/test split leaves no training samples")
-    perm = np.random.default_rng([seed, 1]).permutation(n)
+    return n - n_val - n_test, n_val, n_test
+
+
+def split_dataset(ds: TrainingSet, cfg: TrainingConfig, seed: int) -> SplitIndices:
+    """Seeded shuffle split into train/val/test index sets of
+    :func:`split_sizes`."""
+    _, n_val, n_test = split_sizes(ds.n, cfg)
+    perm = np.random.default_rng([seed, 1]).permutation(ds.n)
     return SplitIndices(train=np.sort(perm[n_val + n_test:]),
                         val=np.sort(perm[:n_val]),
                         test=np.sort(perm[n_val:n_val + n_test]))
 
 
 def train(ds: TrainingSet, cfg: TrainingConfig):
-    """Train on the grid dataset per the configured recipe.
-
-    Returns (NetworkParams, TrainingTrace). Inputs are normalized by the
-    dataset box; targets stay in radians. With early stopping on, an epoch
-    counts as non-improving when it fails to beat the previous epoch's
-    validation loss by min_delta; after ``patience`` consecutive non-improving
-    epochs training halts. The best-validation parameters are restored at the
-    end either way.
+    """Train one model on the grid dataset per the configured recipe (see
+    :func:`train_many`). Returns (NetworkParams, TrainingTrace).
 
     Raises NonFiniteLoss if either loss leaves the finite range.
     """
-    split = split_dataset(ds, cfg, cfg.seed)
+    result = train_many(ds, [cfg])[0]
+    if isinstance(result, NonFiniteLoss):
+        raise result
+    return result
+
+
+def train_many(ds: TrainingSet, cfgs) -> list:
+    """Train one model per config on one dataset, all in lockstep.
+
+    Inputs are normalized by the dataset box; targets stay in radians. With
+    early stopping on, an epoch counts as non-improving when it fails to beat
+    the previous epoch's validation loss by min_delta; after ``patience``
+    consecutive non-improving epochs the model stops and leaves the stack.
+    The best-validation parameters are restored at the end either way.
+
+    The configs may differ only in ``seed``, so every model has the same split
+    sizes and batch schedule and one stacked Adam step serves them all. Each
+    model keeps its own init, split, shuffle stream and early-stopping state,
+    and computes exactly what it would alone.
+
+    Returns one entry per config: (NetworkParams, TrainingTrace), or the
+    NonFiniteLoss raised when either of that model's losses left the finite
+    range.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("train_many needs at least one config")
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("configs trained in lockstep may differ only in seed")
     x = np.ascontiguousarray(normalize_input(ds.points, ds.box))
     y = np.ascontiguousarray(ds.angles)
-    x_val, y_val = x[split.val], y[split.val]
+    splits = [split_dataset(ds, c, c.seed) for c in cfgs]
+    val = np.stack([s.val for s in splits])
+    x_val, y_val = x[val], y[val]
 
-    p0 = init_params(cfg.hidden, cfg.seed)
-    a1, b1, a2, b2 = _kernel_layout(p0)
-    m_a1, v_a1 = np.zeros_like(a1), np.zeros_like(a1)
-    m_b1, v_b1 = np.zeros_like(b1), np.zeros_like(b1)
-    m_a2, v_a2 = np.zeros_like(a2), np.zeros_like(a2)
-    m_b2, v_b2 = np.zeros_like(b2), np.zeros_like(b2)
-
-    shuffle_rng = np.random.default_rng([cfg.seed, 2])
-    trace = TrainingTrace()
-    best_val = math.inf
-    prev_val = math.inf
-    best = (a1.copy(), b1.copy(), a2.copy(), b2.copy())
-    bad_epochs = 0
+    theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for c in cfgs])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    best = theta.copy()
+    rngs = [np.random.default_rng([c.seed, 2]) for c in cfgs]
+    traces = [TrainingTrace() for _ in cfgs]
+    results = [None] * len(cfgs)
+    best_val = [math.inf] * len(cfgs)
+    prev_val = [math.inf] * len(cfgs)
+    bad_epochs = [0] * len(cfgs)
+    live = np.arange(len(cfgs))   # stack row -> config index
     step = 0
 
     for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.permutation(split.train)
+        orders = np.stack([rngs[i].permutation(splits[i].train) for i in live])
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
             step, train_loss = _kernels.epoch_step(
-                a1, b1, a2, b2, m_a1, v_a1, m_b1, v_b1, m_a2, v_a2, m_b2, v_b2,
-                x, y, order, cfg.batch_size, cfg.learning_rate,
-                ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
-            if len(x_val):
-                val_loss = float(_kernels.mse_batch(a1, b1, a2, b2, x_val, y_val))
+                theta, m, v, cfg.hidden, x[orders], y[orders], cfg.batch_size,
+                cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
+            if x_val.shape[1]:
+                val_loss = _kernels.mse(*_kernels.unpack(theta, cfg.hidden), x_val, y_val)
             else:
                 val_loss = train_loss
-        trace.train_loss.append(float(train_loss))
-        trace.val_loss.append(val_loss)
-        trace.epochs_run = epoch + 1
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise NonFiniteLoss(f"loss diverged at epoch {epoch + 1} "
-                                f"(train={train_loss}, val={val_loss})")
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best = (a1.copy(), b1.copy(), a2.copy(), b2.copy())
-        if val_loss < prev_val - cfg.min_delta:
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if cfg.early_stopping and bad_epochs >= cfg.patience:
-                trace.stopped_early = True
+        keep = []
+        for row, i in enumerate(live):
+            tl, vl = float(train_loss[row]), float(val_loss[row])
+            trace = traces[i]
+            trace.train_loss.append(tl)
+            trace.val_loss.append(vl)
+            trace.epochs_run = epoch + 1
+            if not (math.isfinite(tl) and math.isfinite(vl)):
+                results[i] = NonFiniteLoss(f"loss diverged at epoch {epoch + 1} "
+                                           f"(train={tl}, val={vl})")
+                continue
+            if vl < best_val[i]:
+                best_val[i] = vl
+                best[i] = theta[row]
+            if vl < prev_val[i] - cfg.min_delta:
+                bad_epochs[i] = 0
+            else:
+                bad_epochs[i] += 1
+                if cfg.early_stopping and bad_epochs[i] >= cfg.patience:
+                    trace.stopped_early = True
+                    continue
+            prev_val[i] = vl
+            keep.append(row)
+        if len(keep) < len(live):
+            if not keep:
                 break
-        prev_val = val_loss
+            live, theta, m, v = live[keep], theta[keep], m[keep], v[keep]
+            x_val, y_val = x_val[keep], y_val[keep]
 
-    if cfg.early_stopping:
-        a1, b1, a2, b2 = best
-    return _from_kernel_layout(a1, b1, a2, b2), trace
+    if not cfg.early_stopping:
+        best[live] = theta
+    return [r if r is not None else (_params_from_row(best[i], cfg.hidden), traces[i])
+            for i, r in enumerate(results)]

@@ -103,6 +103,14 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
+    rc = main(["sweep", "--axis-counts", "20", "--report", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_runtime_failure_exit_3(tmp_path, capsys):
     rc = main(["--box", "250,310,250,310,250,310", "dataset",
                "--samples-per-axis", "2", "--out", str(tmp_path / "z.csv")])

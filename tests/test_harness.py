@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -106,10 +107,25 @@ def test_run_sweep_shape_and_order():
     assert res.summary.ks == [2, 3]
 
 
-def test_run_sweep_workers_deterministic():
-    seq = run_sweep([2, 3], [1, 2], QUICK, workers=1)
-    par = run_sweep([2, 3], [1, 2], QUICK, workers=4)
-    assert seq.rows == par.rows
+def test_sweep_rows_match_run_experiment():
+    # k = 3 has a one-row tail batch, and seeds 1..5 include two that stop
+    # early while the others train on to max_epochs
+    res = run_sweep([3], range(1, 6))
+    assert res.rows == [run_experiment(3, s) for s in range(1, 6)]
+    assert len({r.epochs_run for r in res.rows}) > 2
+
+
+def test_sweep_rows_independent_of_grouping():
+    cfg = HarnessConfig(max_epochs=60)
+    alone = run_sweep([5], [1, 2, 3], cfg)
+    full = run_sweep(range(2, 9), [1, 2, 3], cfg)
+    assert alone.rows == [r for r in full.rows if r.k == 5]
+
+
+def test_run_sweep_k_range():
+    for k in (1, 13, 20):
+        with pytest.raises(ValueError):
+            run_sweep([3, k], [1], QUICK)
 
 
 def test_run_sweep_failed_cell_marker():
@@ -180,6 +196,25 @@ def test_report_json_mirror(tmp_path):
     assert doc["meta"]["repeats"] == 1
     assert len(doc["rows"]) == 1
     assert doc["summary"]["ks"] == [2]
+
+
+def test_report_json_rows_typed(tmp_path):
+    res = run_sweep([2, 3], [1], QUICK)
+    json_path = tmp_path / "r.json"
+    emit_report(res.rows, res.summary, tmp_path / "r.csv", json_path=json_path)
+    doc = json.loads(json_path.read_text())
+    assert doc["rows"] == [asdict(r) for r in res.rows]
+    assert list(doc["rows"][0]) == REPORT_COLUMNS
+    assert isinstance(doc["rows"][0]["k"], int)
+    assert isinstance(doc["rows"][0]["mean_err_mm"], float)
+
+
+def test_empty_files_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("\n")
+    for loader in (load_report, import_dataset):
+        with pytest.raises(ValueError, match="empty.csv"):
+            loader(path)
 
 
 def test_model_roundtrip_bitwise(tmp_path, box):

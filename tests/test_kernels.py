@@ -1,97 +1,66 @@
-"""Backend selection and numba/numpy agreement checks."""
-
-import os
-import subprocess
-import sys
+"""Stacked-kernel checks: a stack of models computes what each model computes
+alone."""
 
 import numpy as np
-import pytest
 
 from ikann import _kernels
 from ikann.neuralnet import init_params
 
 
-def kernel_args(seed=11, batch=32):
-    p = init_params(16, seed)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0, 1, (batch, 3))
-    y = rng.normal(0, 1, (batch, 3))
-    return (np.ascontiguousarray(p.w1.T), p.b1.copy(),
-            np.ascontiguousarray(p.w2.T), p.b2.copy(), x, y)
+def flat_row(seed, hidden=16):
+    p = init_params(hidden, seed)
+    return np.concatenate((p.w1.T.ravel(), p.b1, p.w2.T.ravel(), p.b2))
 
 
-def test_active_backend_matches_env():
-    # The documented rule, stated here rather than read from _kernels: numba
-    # is active iff IKANN_DISABLE_NUMBA is not one of 1/true/yes/on (any case,
-    # surrounding spaces ignored) and numba imports in this interpreter.
-    flag = os.environ.get("IKANN_DISABLE_NUMBA", "").strip().lower()
-    disabled = flag in ("1", "true", "yes", "on")
-    try:
-        import numba  # noqa: F401
-        importable = True
-    except ImportError:
-        importable = False
-    expected = "numba" if importable and not disabled else "numpy"
-    assert _kernels.BACKEND == expected
-    for name in ("epoch_step", "forward_batch", "mse_batch", "batch_gradients"):
-        is_numpy = getattr(_kernels, name) is getattr(_kernels, name + "_numpy")
-        assert is_numpy == (expected == "numpy"), name
+def test_unpack_gives_views():
+    theta = np.stack([flat_row(1), flat_row(2)])
+    a1, b1, a2, b2 = _kernels.unpack(theta, 16)
+    assert (a1.shape, b1.shape, a2.shape, b2.shape) == ((2, 3, 16), (2, 16), (2, 16, 3), (2, 3))
+    theta += 1.0
+    np.testing.assert_array_equal(a1[1], init_params(16, 2).w1.T + 1.0)
 
 
-def test_jitted_matches_numpy_reference():
-    a1, b1, a2, b2, x, y = kernel_args()
-    out_active = _kernels.forward_batch(a1, b1, a2, b2, x)
-    out_ref = _kernels.forward_batch_numpy(a1, b1, a2, b2, x)
-    np.testing.assert_allclose(out_active, out_ref, rtol=1e-13, atol=1e-15)
-
-    mse_active = _kernels.mse_batch(a1, b1, a2, b2, x, y)
-    mse_ref = _kernels.mse_batch_numpy(a1, b1, a2, b2, x, y)
-    assert mse_active == pytest.approx(mse_ref, rel=1e-12)
-
-    g_active = _kernels.batch_gradients(a1, b1, a2, b2, x, y)
-    g_ref = _kernels.batch_gradients_numpy(a1, b1, a2, b2, x, y)
-    for ga, gr in zip(g_active, g_ref):
-        np.testing.assert_allclose(ga, gr, rtol=1e-12, atol=1e-15)
-
-
-def test_epoch_step_agrees_across_backends():
-    a1, b1, a2, b2, x, y = kernel_args()
-    order = np.arange(len(x))
-
-    def run(fn):
-        args = [a1.copy(), b1.copy(), a2.copy(), b2.copy()]
-        args += [np.zeros_like(a) for a in (a1, a1, b1, b1, a2, a2, b2, b2)]
-        step, loss = fn(*args, x, y, order, 8, 0.001, 0.9, 0.999, 1e-8, 0)
-        return step, loss, args[:4]
-
-    s1, l1, p1 = run(_kernels.epoch_step)
-    s2, l2, p2 = run(_kernels.epoch_step_numpy)
-    assert s1 == s2 == 4
-    assert abs(l1 - l2) < 1e-12
-    for u, v in zip(p1, p2):
-        np.testing.assert_allclose(u, v, rtol=1e-10, atol=1e-14)
+def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
+    """One model's epoch as a plain loop of 2-D np.dot products; returns the
+    new (a1, b1, a2, b2), the step count and the epoch loss."""
+    params = [p.copy() for p in params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    sse = 0.0
+    for start in range(0, len(x), batch_size):
+        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+        a1, b1, a2, b2 = params
+        pre = np.dot(xb, a1) + b1
+        h = np.maximum(pre, 0.0)
+        err = np.dot(h, a2) + b2 - yb
+        sse += np.sum(err * err)
+        dout = err * (2.0 / (len(xb) * 3.0))
+        dh = np.where(pre > 0.0, np.dot(dout, np.ascontiguousarray(a2.T)), 0.0)
+        grads = (np.dot(np.ascontiguousarray(xb.T), dh), dh.sum(axis=0),
+                 np.dot(np.ascontiguousarray(h.T), dout), dout.sum(axis=0))
+        step += 1
+        for p, (m, v), g in zip(params, moments, grads):
+            m[:] = beta1 * m + (1.0 - beta1) * g
+            v[:] = beta2 * v + (1.0 - beta2) * (g * g)
+            p -= lr * (m / (1.0 - beta1 ** step)) / (np.sqrt(v / (1.0 - beta2 ** step)) + eps)
+    return params, step, sse / (len(x) * 3.0)
 
 
-def backend_in_subprocess(env, prelude=""):
-    """BACKEND and whether forward_batch is the numpy function, as seen by a
-    fresh interpreter that runs ``prelude`` before importing the kernels."""
-    code = (prelude + "import ikann._kernels as k; "
-            "print(k.BACKEND); "
-            "print(k.forward_batch is k.forward_batch_numpy)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.split()
-
-
-def test_disable_flag_selects_numpy_backend():
-    env = dict(os.environ, IKANN_DISABLE_NUMBA="1")
-    assert backend_in_subprocess(env) == ["numpy", "True"]
-
-
-def test_missing_numba_selects_numpy_backend():
-    # A None entry in sys.modules makes ``import numba`` raise ImportError,
-    # so the fallback is checked even where numba is installed.
-    env = dict(os.environ)
-    env.pop("IKANN_DISABLE_NUMBA", None)
-    prelude = "import sys; sys.modules['numba'] = None; "
-    assert backend_in_subprocess(env, prelude) == ["numpy", "True"]
+def test_stacked_epoch_step_matches_single_models():
+    # every model of a stack takes bitwise the reference step; n = 25 with
+    # batches of 8 leaves a one-row tail batch, as on the k = 3 grid
+    seeds = (11, 12, 13)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, (len(seeds), 25, 3))
+    y = rng.normal(0, 1, (len(seeds), 25, 3))
+    for stack in ((0,), (0, 1, 2)):
+        theta = np.stack([flat_row(seeds[i]) for i in stack])
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        step, losses = _kernels.epoch_step(theta, m, v, 16, x[list(stack)], y[list(stack)],
+                                           8, 0.001, 0.9, 0.999, 1e-8, 0)
+        for row, i in enumerate(stack):
+            ref, ref_step, ref_loss = reference_epoch(
+                _kernels.unpack(flat_row(seeds[i]), 16), x[i], y[i], 8, 0.001, 0.9, 0.999, 1e-8, 0)
+            assert step == ref_step == 4
+            assert losses[row] == ref_loss
+            for got, want in zip(_kernels.unpack(theta[row], 16), ref):
+                np.testing.assert_array_equal(got, want)

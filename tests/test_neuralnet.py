@@ -7,7 +7,7 @@ from ikann.errors import NonFiniteLoss
 from ikann.neuralnet import (Gradients, NetworkParams,
                              TrainingConfig, adam_step, backward, forward,
                              init_adam_state, init_params, loss, predict,
-                             split_dataset, train)
+                             split_dataset, split_sizes, train, train_many)
 from ikann.sampler import generate_grid, normalize_input
 
 
@@ -154,7 +154,7 @@ def test_adam_constant_gradient_nonincreasing_step():
 
 
 def test_adam_epoch_matches_kernel(k3_dataset):
-    """One epoch through the public ops equals the fused kernel epoch."""
+    """One epoch through the public ops equals the stacked kernel epoch at S = 1."""
     from ikann import _kernels
     ds = k3_dataset
     cfg = TrainingConfig(seed=3)
@@ -170,13 +170,12 @@ def test_adam_epoch_matches_kernel(k3_dataset):
         p, state = adam_step(p, g, state, lr=cfg.learning_rate)
 
     p2 = init_params(4, 3)
-    a1, b1, a2, b2 = (np.ascontiguousarray(p2.w1.T), p2.b1.copy(),
-                      np.ascontiguousarray(p2.w2.T), p2.b2.copy())
-    zeros = lambda a: np.zeros_like(a)
-    _kernels.epoch_step(a1, b1, a2, b2, zeros(a1), zeros(a1), zeros(b1), zeros(b1),
-                        zeros(a2), zeros(a2), zeros(b2), zeros(b2),
-                        np.ascontiguousarray(x), np.ascontiguousarray(y), order,
-                        cfg.batch_size, cfg.learning_rate, 0.9, 0.999, 1e-8, 0)
+    theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    step, _ = _kernels.epoch_step(theta, m, v, 4, x[order][None], y[order][None],
+                                  cfg.batch_size, cfg.learning_rate, 0.9, 0.999, 1e-8, 0)
+    assert step == state.t
+    a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(b1, p.b1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(a2.T, p.w2, rtol=1e-12, atol=1e-15)
@@ -197,6 +196,15 @@ def test_split_sizes_n8(box):
     ds = generate_grid(box, 2)
     split = split_dataset(ds, TrainingConfig(seed=1), 1)
     assert split.sizes() == (6, 1, 1)
+
+
+def test_split_sizes_match_split(box):
+    for k in (2, 3, 5):
+        ds = generate_grid(box, k)
+        cfg = TrainingConfig(seed=1)
+        assert split_sizes(ds.n, cfg) == split_dataset(ds, cfg, 1).sizes()
+    with pytest.raises(ValueError):
+        split_sizes(2, TrainingConfig(val_fraction=0.4, test_fraction=0.4))
 
 
 def test_split_deterministic_and_disjoint(box):
@@ -244,6 +252,59 @@ def test_train_divergence_raises(box):
     ds = generate_grid(box, 2)
     with pytest.raises(NonFiniteLoss):
         train(ds, TrainingConfig(seed=1, learning_rate=1e150))
+
+
+def assert_same_training(a, b):
+    (pa, ta), (pb, tb) = a, b
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(pa, name), getattr(pb, name)), name
+    assert ta == tb
+
+
+def test_train_many_matches_train_alone(box):
+    # k = 3, seeds 1..5: seeds that stop early leave the stack mid-run, and the
+    # 25 training rows end every epoch on a one-row batch
+    ds = generate_grid(box, 3)
+    cfgs = [TrainingConfig(seed=s) for s in range(1, 6)]
+    many = train_many(ds, cfgs)
+    assert len({t.epochs_run for _, t in many}) > 1
+    for cfg, got in zip(cfgs, many):
+        assert_same_training(got, train(ds, cfg))
+
+
+def test_train_many_without_early_stopping(box):
+    ds = generate_grid(box, 2)
+    cfgs = [TrainingConfig(seed=s, max_epochs=30, early_stopping=False) for s in (4, 9)]
+    for cfg, got in zip(cfgs, train_many(ds, cfgs)):
+        assert got[1].epochs_run == 30
+        assert_same_training(got, train(ds, cfg))
+
+
+def test_train_many_isolates_divergence(box):
+    # at this learning rate some seeds diverge and others do not
+    ds = generate_grid(box, 2)
+    cfgs = [TrainingConfig(seed=s, learning_rate=1.6e76, max_epochs=40) for s in range(1, 9)]
+    alone = []
+    for cfg in cfgs:
+        try:
+            alone.append(train(ds, cfg))
+        except NonFiniteLoss as exc:
+            alone.append(exc)
+    diverged = [isinstance(a, NonFiniteLoss) for a in alone]
+    assert any(diverged) and not all(diverged)
+    for a, got in zip(alone, train_many(ds, cfgs)):
+        if isinstance(a, NonFiniteLoss):
+            assert isinstance(got, NonFiniteLoss) and str(got) == str(a)
+        else:
+            assert_same_training(got, a)
+
+
+def test_train_many_rejects_mixed_configs(box):
+    ds = generate_grid(box, 2)
+    with pytest.raises(ValueError):
+        train_many(ds, [])
+    with pytest.raises(ValueError):
+        train_many(ds, [TrainingConfig(seed=1), TrainingConfig(seed=2, hidden=8)])
 
 
 def test_best_val_not_worse_than_first_epoch(box):
