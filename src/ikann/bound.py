@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,15 +47,7 @@ class BoundReport:
     rescale_factor_mm: float
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "w_bar": self.w_bar,
-            "n": self.n,
-            "half_spacing": self.half_spacing,
-            "bound_normalized": self.bound_normalized,
-            "e_est_mm": self.e_est_mm,
-            "rescale_factor_mm": self.rescale_factor_mm,
-        }
+        return asdict(self)
 
 
 def jacobian_at(p: NetworkParams, x_norm) -> np.ndarray:
@@ -120,24 +112,17 @@ def check_weight_range(p: NetworkParams) -> float:
 
 
 def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox,
-                         scale_mm: float | None = None,
-                         w_bar: float | None = None) -> BoundReport:
-    """Assemble every bound quantity for a trained model and sample count.
-
-    ``w_bar`` overrides the measured mean absolute output weight, pinning the
-    estimate column to a constant for parametric comparisons across n.
-    """
+                         scale_mm: float | None = None) -> BoundReport:
+    """Assemble every bound quantity for a trained model and sample count."""
     check_weight_range(p)
-    if w_bar is None:
-        w_bar = mean_abs_output_weight(p)
+    w_bar = mean_abs_output_weight(p)
     normalized = sample_bound(n, w_bar)
-    factor = float(np.mean(box.span)) if scale_mm is None else float(scale_mm)
     return BoundReport(
         gamma=lipschitz_gamma(p),
         w_bar=w_bar,
         n=n,
         half_spacing=half_spacing_normalized(n),
         bound_normalized=normalized,
-        e_est_mm=normalized * factor,
-        rescale_factor_mm=factor,
+        e_est_mm=rescale_to_mm(normalized, box, scale_mm),
+        rescale_factor_mm=rescale_to_mm(1.0, box, scale_mm),
     )

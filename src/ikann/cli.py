@@ -19,7 +19,7 @@ from .harness import (HarnessConfig, emit_report, export_dataset,
                       export_trajectory, load_model, run_sweep, save_model,
                       write_training_curve)
 from .kinematics import RobotGeometry
-from .neuralnet import train
+from .neuralnet import TrainingConfig, train
 from .sampler import DEFAULT_BOX, WorkspaceBox, generate_grid
 from .trajectory import HEART, RECTANGLE, make_heart_path, make_rectangle_path
 
@@ -88,12 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args, geom, box, seed):
-    cfg = HarnessConfig(geom=geom, box=box, hidden=args.hidden,
-                        max_epochs=args.epochs,
-                        early_stopping=not args.no_early_stop)
+    cfg = TrainingConfig(hidden=args.hidden, max_epochs=args.epochs, seed=seed,
+                         early_stopping=not args.no_early_stop)
     ds = generate_grid(box, args.samples_per_axis, geom)
-    tcfg = cfg.training_config(seed)
-    params, trace = train(ds, tcfg)
+    params, trace = train(ds, cfg)
     meta = {
         "samples_per_axis": args.samples_per_axis,
         "seed": seed,

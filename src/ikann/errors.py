@@ -5,10 +5,6 @@ class IkannError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidConfig(IkannError):
-    """A configuration value violates its documented constraints."""
-
-
 class UnreachableTarget(IkannError):
     """Requested Cartesian point lies outside the arm's workspace."""
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import operator
+import typing
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import bound as bound_mod
-from .errors import InsufficientData, UnreachableGridPoint
+from .errors import IkannError, InsufficientData
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry
 from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace, SPLIT_ROUNDING,
                         split_sizes, train, train_many)
@@ -25,12 +27,6 @@ from .sampler import DEFAULT_BOX, TrainingSet, WorkspaceBox, generate_grid, spac
 from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
                          evaluate_tracking, make_heart_path,
                          make_rectangle_path, tracking_details)
-
-REPORT_COLUMNS = [
-    "k", "n", "seed", "mean_err_mm", "std_err_mm", "est_bound_mm",
-    "spacing_mm", "err_to_spacing", "gamma", "w_bar", "epochs_run",
-    "final_train_loss", "final_val_loss", "path_kind", "split_sizes",
-]
 
 MODEL_SCHEMA = "ik-ann-model/1"
 DATASET_HEADER = "x1_mm,x2_mm,x3_mm,q1_rad,q2_rad,q3_rad"
@@ -48,33 +44,13 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Everything one run needs besides (k, seed)."""
+    """Everything one run needs besides (k, seed). Each cell trains with
+    ``training`` whose ``seed`` is replaced by the cell's seed."""
 
     geom: RobotGeometry = DEFAULT_GEOMETRY
     box: WorkspaceBox = DEFAULT_BOX
-    hidden: int = 16
-    learning_rate: float = 0.001
-    batch_size: int = 8
-    max_epochs: int = 500
-    patience: int = 10
-    min_delta: float = 1e-5
-    val_fraction: float = 0.05
-    test_fraction: float = 0.05
-    early_stopping: bool = True
+    training: TrainingConfig = TrainingConfig()
     path_kind: str = RECTANGLE
-    bound_scale_mm: float | None = None
-    # pin the estimate column's mean output weight to a constant instead of
-    # the per-model measurement (makes est_bound ratios follow the pure
-    # 1/(cuberoot(n)-1)^2 law across k)
-    pinned_w_bar: float | None = None
-
-    def training_config(self, seed: int) -> TrainingConfig:
-        return TrainingConfig(
-            hidden=self.hidden, learning_rate=self.learning_rate,
-            batch_size=self.batch_size, max_epochs=self.max_epochs,
-            patience=self.patience, min_delta=self.min_delta,
-            val_fraction=self.val_fraction, test_fraction=self.test_fraction,
-            seed=seed, early_stopping=self.early_stopping)
 
     def make_path(self) -> TrajectorySpec:
         if self.path_kind == RECTANGLE:
@@ -84,24 +60,16 @@ class HarnessConfig:
         raise ValueError(f"unknown path kind {self.path_kind!r}")
 
     def metadata(self) -> dict:
+        training = asdict(self.training)
+        del training["seed"]
         return {
             "links_mm": [self.geom.l1, self.geom.l2, self.geom.l3],
             "elbow_branch": self.geom.elbow_branch,
             "box_lo_mm": list(self.box.lo),
             "box_hi_mm": list(self.box.hi),
-            "hidden": self.hidden,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_delta": self.min_delta,
-            "val_fraction": self.val_fraction,
-            "test_fraction": self.test_fraction,
-            "early_stopping": self.early_stopping,
+            **training,
             "path_kind": self.path_kind,
             "path_params": self.make_path().params,
-            "bound_scale_mm": self.bound_scale_mm,
-            "pinned_w_bar": self.pinned_w_bar,
             "split_rounding": SPLIT_ROUNDING,
             "error_spread": "std across path points per run; across-seed std in summary",
         }
@@ -109,7 +77,8 @@ class HarnessConfig:
 
 @dataclass
 class SweepRow:
-    """One (k, seed) experiment; the 15 report-CSV columns."""
+    """One (k, seed) experiment. The fields, in order and with their types,
+    are the report schema: the CSV columns and the JSON mirror's row keys."""
 
     k: int
     n: int
@@ -150,25 +119,25 @@ class SweepRow:
             raise ValueError("est_bound_mm must be a finite nonnegative rescale of the bound")
 
     def to_csv_line(self) -> str:
-        vals = [self.k, self.n, self.seed, self.mean_err_mm, self.std_err_mm,
-                self.est_bound_mm, self.spacing_mm, self.err_to_spacing,
-                self.gamma, self.w_bar, self.epochs_run,
-                self.final_train_loss, self.final_val_loss,
-                self.path_kind, self.split_sizes]
-        return ",".join(_fmt(v) for v in vals)
+        return ",".join(_fmt(v) for v in astuple(self))
 
     @classmethod
-    def from_csv_fields(cls, fields_: list) -> "SweepRow":
-        k, n, seed = int(fields_[0]), int(fields_[1]), int(fields_[2])
-        floats = [float(f) for f in fields_[3:10]]
-        return cls(k=k, n=n, seed=seed,
-                   mean_err_mm=floats[0], std_err_mm=floats[1],
-                   est_bound_mm=floats[2], spacing_mm=floats[3],
-                   err_to_spacing=floats[4], gamma=floats[5], w_bar=floats[6],
-                   epochs_run=int(fields_[10]),
-                   final_train_loss=float(fields_[11]),
-                   final_val_loss=float(fields_[12]),
-                   path_kind=fields_[13], split_sizes=fields_[14])
+    def from_csv_fields(cls, values: list) -> "SweepRow":
+        if len(values) != len(REPORT_COLUMNS):
+            raise ValueError(f"expected {len(REPORT_COLUMNS)} report fields, got {len(values)}")
+        return cls(*(t(v) for t, v in zip(_COLUMN_TYPES.values(), values)))
+
+
+REPORT_COLUMNS = [f.name for f in fields(SweepRow)]
+_COLUMN_TYPES = typing.get_type_hints(SweepRow)
+
+
+def _failed_row(k: int, seed: int, exc: Exception) -> SweepRow:
+    """Marker row of a failed cell: NaN in every float column, 0 epochs, an
+    empty split, and the exception's class in ``path_kind``."""
+    blank = {name: math.nan if t is float else t() for name, t in _COLUMN_TYPES.items()}
+    blank.update(k=k, n=k ** 3, seed=seed, path_kind=f"error:{type(exc).__name__}")
+    return SweepRow(**blank)
 
 
 @dataclass
@@ -181,21 +150,6 @@ class SweepSummary:
     alpha: float
     saturation_k: int | None
 
-    def as_dict(self) -> dict:
-        return {
-            "ks": self.ks, "ns": self.ns,
-            "mean_err_mm": self.mean_err_mm, "std_err_mm": self.std_err_mm,
-            "mean_est_bound_mm": self.mean_est_bound_mm,
-            "alpha": self.alpha, "saturation_k": self.saturation_k,
-        }
-
-
-@dataclass
-class CellResult:
-    row: SweepRow
-    params: NetworkParams | None
-    trace: TrainingTrace | None
-
 
 @dataclass
 class SweepResult:
@@ -206,13 +160,12 @@ class SweepResult:
 
 
 def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig,
-                 params: NetworkParams, trace: TrainingTrace) -> CellResult:
+                 params: NetworkParams, trace: TrainingTrace) -> SweepRow:
     """Track and bound one trained model and build its row."""
     report = evaluate_tracking(params, cfg.make_path(), cfg.geom, cfg.box)
-    breport = bound_mod.compute_bound_report(params, ds.n, cfg.box,
-                                             cfg.bound_scale_mm, cfg.pinned_w_bar)
+    breport = bound_mod.compute_bound_report(params, ds.n, cfg.box)
     d = spacing_mm(cfg.box, k)
-    row = SweepRow(
+    return SweepRow(
         k=k, n=ds.n, seed=seed,
         mean_err_mm=report.mean_mm, std_err_mm=report.std_mm,
         est_bound_mm=breport.e_est_mm, spacing_mm=d,
@@ -222,9 +175,8 @@ def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig,
         final_train_loss=trace.train_loss[-1],
         final_val_loss=trace.val_loss[-1],
         path_kind=cfg.path_kind,
-        split_sizes="/".join(str(s) for s in split_sizes(ds.n, cfg.training_config(seed))),
+        split_sizes="/".join(str(s) for s in split_sizes(ds.n, cfg.training)),
     )
-    return CellResult(row=row, params=params, trace=trace)
 
 
 def _check_ks(ks):
@@ -236,50 +188,40 @@ def run_experiment(k: int, seed: int, cfg: HarnessConfig = HarnessConfig()) -> S
     """Grid -> train -> track -> bound for one (k, seed); returns the row."""
     _check_ks([k])
     ds = generate_grid(cfg.box, k, cfg.geom)
-    params, trace = train(ds, cfg.training_config(seed))
-    return _finish_cell(k, seed, ds, cfg, params, trace).row
-
-
-def _failed_row(k: int, seed: int, cfg: HarnessConfig, exc: Exception) -> SweepRow:
-    nan = float("nan")
-    return SweepRow(k=k, n=k ** 3, seed=seed, mean_err_mm=nan, std_err_mm=nan,
-                    est_bound_mm=nan, spacing_mm=nan, err_to_spacing=nan,
-                    gamma=nan, w_bar=nan, epochs_run=0,
-                    final_train_loss=nan, final_val_loss=nan,
-                    path_kind=f"error:{type(exc).__name__}", split_sizes="")
+    params, trace = train(ds, replace(cfg.training, seed=seed))
+    return _finish_cell(k, seed, ds, cfg, params, trace)
 
 
 def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
               keep_models: bool = False) -> SweepResult:
     """Run every (k, seed) combination; failed cells become marker rows and the
     sweep continues. Rows come back sorted by (k, seed)."""
-    ks, seeds = list(ks), list(seeds)
+    ks = sorted(operator.index(k) for k in ks)
+    seeds = sorted(operator.index(s) for s in seeds)
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
     _check_ks(ks)
-    cells = [(k, s) for k in sorted(ks) for s in sorted(seeds)]
     group = sorted(set(seeds))
-    results = {}
+    by_cell, models, traces = {}, {}, {}
     for k in sorted(set(ks)):
-        # one grid per k, all seeds in lockstep; an unreachable grid fails
-        # every seed of k, a diverged model only its own cell
+        # one grid per k, all seeds in lockstep; a grid that cannot be built
+        # fails every seed of k, a diverged model only its own cell
         try:
             ds = generate_grid(cfg.box, k, cfg.geom)
-            trained = train_many(ds, [cfg.training_config(s) for s in group])
-        except UnreachableGridPoint as exc:
+        except IkannError as exc:
             trained = [exc] * len(group)
+        else:
+            trained = train_many(ds, [replace(cfg.training, seed=s) for s in group])
         for s, t in zip(group, trained):
             if isinstance(t, Exception):
-                results[(k, s)] = CellResult(row=_failed_row(k, s, cfg, t), params=None, trace=None)
+                by_cell[(k, s)] = _failed_row(k, s, t)
             else:
-                results[(k, s)] = _finish_cell(k, s, ds, cfg, *t)
+                by_cell[(k, s)] = _finish_cell(k, s, ds, cfg, *t)
+                models[(k, s)], traces[(k, s)] = t
 
-    rows = [results[c].row for c in cells]
-    summary = summarize(rows)
-    models = {c: results[c].params for c in cells if results[c].params is not None} \
-        if keep_models else None
-    traces = {c: results[c].trace for c in cells if results[c].trace is not None}
-    return SweepResult(rows=rows, summary=summary, models=models, traces=traces)
+    rows = [by_cell[(k, s)] for k in ks for s in seeds]
+    return SweepResult(rows=rows, summary=summarize(rows),
+                       models=models if keep_models else None, traces=traces)
 
 
 def fit_convergence_rate(rows) -> float:
@@ -341,7 +283,7 @@ def emit_report(rows, summary: SweepSummary, path, json_path=None, metadata: dic
         doc = {
             "meta": metadata or {},
             "rows": [asdict(r) for r in rows],
-            "summary": summary.as_dict(),
+            "summary": asdict(summary),
         }
         with open(json_path, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -471,6 +413,4 @@ def export_trajectory(traj: TrajectorySpec, model, geom: RobotGeometry,
         lines.append(",".join(_fmt(v) for v in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return EvalReport(per_point_error_mm=err, mean_mm=float(err.mean()),
-                      std_mm=float(err.std()), max_mm=float(err.max()),
-                      n_points=len(err))
+    return EvalReport.from_errors(err)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, forward_kinematics_batch, inverse_kinematics
 from .neuralnet import NetworkParams, predict
-from .sampler import WorkspaceBox, normalize_input
+from .sampler import DEFAULT_BOX, WorkspaceBox, normalize_input
 
 RECTANGLE = "rectangle"
 HEART = "heart"
@@ -45,6 +45,13 @@ class EvalReport:
     std_mm: float
     max_mm: float
     n_points: int
+
+    @classmethod
+    def from_errors(cls, err: np.ndarray) -> "EvalReport":
+        """Aggregate per-point tracking errors in mm."""
+        return cls(per_point_error_mm=err, mean_mm=float(err.mean()),
+                   std_mm=float(err.std()), max_mm=float(err.max()),
+                   n_points=len(err))
 
 
 def make_rectangle_path(box: WorkspaceBox, z_low: float = 10.0, z_high: float = 50.0,
@@ -136,20 +143,11 @@ def tracking_details(model, traj: TrajectorySpec, geom: RobotGeometry, box: Work
 
 def evaluate_tracking(model, traj: TrajectorySpec,
                       geom: RobotGeometry = DEFAULT_GEOMETRY,
-                      box: WorkspaceBox | None = None) -> EvalReport:
+                      box: WorkspaceBox = DEFAULT_BOX) -> EvalReport:
     """Run the reference path through the model and FK replay; aggregate the
     per-point Euclidean errors in mm."""
-    if box is None:
-        from .sampler import DEFAULT_BOX
-        box = DEFAULT_BOX
     _, _, err = tracking_details(model, traj, geom, box)
-    return EvalReport(
-        per_point_error_mm=err,
-        mean_mm=float(err.mean()),
-        std_mm=float(err.std()),
-        max_mm=float(err.max()),
-        n_points=len(err),
-    )
+    return EvalReport.from_errors(err)
 
 
 def error_to_spacing(mean_err_mm: float, d_mm: float) -> float:

@@ -11,11 +11,11 @@ from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            fit_convergence_rate, import_dataset, load_model,
                            load_report, run_experiment, run_sweep, save_model,
                            summarize, write_training_curve)
-from ikann.neuralnet import init_params
+from ikann.neuralnet import TrainingConfig, init_params
 from ikann.sampler import WorkspaceBox, generate_grid
 from ikann.trajectory import make_rectangle_path
 
-QUICK = HarnessConfig(max_epochs=40)
+QUICK = HarnessConfig(training=TrainingConfig(max_epochs=40))
 
 
 def synthetic_row(k, seed, err, w_bar=0.3, est=None, path="rectangle"):
@@ -54,17 +54,9 @@ def test_run_experiment_k_range():
 
 
 def test_run_experiment_heart_path():
-    row = run_experiment(3, 1, HarnessConfig(max_epochs=40, path_kind="heart"))
+    row = run_experiment(3, 1, HarnessConfig(training=QUICK.training, path_kind="heart"))
     assert row.path_kind == "heart"
     assert math.isfinite(row.mean_err_mm)
-
-
-def test_pinned_w_bar_gives_exact_ratio_law():
-    cfg = HarnessConfig(max_epochs=5, pinned_w_bar=0.3)
-    res = run_sweep([3, 5], [1], cfg)
-    by_k = {r.k: r for r in res.rows}
-    assert by_k[3].w_bar == by_k[5].w_bar == 0.3
-    assert by_k[3].est_bound_mm / by_k[5].est_bound_mm == 4.0
 
 
 # --- convergence fit --------------------------------------------------------
@@ -116,7 +108,7 @@ def test_sweep_rows_match_run_experiment():
 
 
 def test_sweep_rows_independent_of_grouping():
-    cfg = HarnessConfig(max_epochs=60)
+    cfg = HarnessConfig(training=TrainingConfig(max_epochs=60))
     alone = run_sweep([5], [1, 2, 3], cfg)
     full = run_sweep(range(2, 9), [1, 2, 3], cfg)
     assert alone.rows == [r for r in full.rows if r.k == 5]
@@ -131,12 +123,25 @@ def test_run_sweep_k_range():
 def test_run_sweep_failed_cell_marker():
     bad_box = WorkspaceBox(lo=np.array([250.0, 250.0, 250.0]),
                            hi=np.array([310.0, 310.0, 310.0]))
-    cfg = HarnessConfig(box=bad_box, max_epochs=5)
+    cfg = HarnessConfig(box=bad_box, training=TrainingConfig(max_epochs=5))
     res = run_sweep([2], [1, 2], cfg)
     assert len(res.rows) == 2
     assert all(r.failed for r in res.rows)
     assert res.rows[0].path_kind == "error:UnreachableGridPoint"
     assert math.isnan(res.rows[0].mean_err_mm)
+
+
+def test_run_sweep_degenerate_grid_fails_only_its_k():
+    # the k = 3 grid of this box has the origin, on the base axis; k = 2 has not
+    box = WorkspaceBox(lo=np.array([-30.0, -30.0, 0.0]), hi=np.array([30.0, 30.0, 60.0]))
+    cfg = HarnessConfig(box=box, training=TrainingConfig(max_epochs=5))
+    res = run_sweep([2, 3], [1, 2], cfg)
+    assert [(r.k, r.failed) for r in res.rows] == [(2, False), (2, False), (3, True), (3, True)]
+    for r in res.rows[:2]:
+        r.validate(rescale_factor_mm=60.0)
+        assert math.isfinite(r.mean_err_mm)
+    assert {r.path_kind for r in res.rows[2:]} == {"error:DegenerateAxis"}
+    assert res.summary.ks == [2]
 
 
 def test_summary_recomputable_from_rows():
@@ -207,6 +212,25 @@ def test_report_json_rows_typed(tmp_path):
     assert list(doc["rows"][0]) == REPORT_COLUMNS
     assert isinstance(doc["rows"][0]["k"], int)
     assert isinstance(doc["rows"][0]["mean_err_mm"], float)
+
+
+def test_sweep_numpy_integers_reported_as_ints(tmp_path):
+    res = run_sweep(np.arange(2, 4), np.array([1]), QUICK)
+    assert all(type(r.k) is int and type(r.seed) is int for r in res.rows)
+    json_path = tmp_path / "r.json"
+    emit_report(res.rows, res.summary, tmp_path / "r.csv", json_path=json_path)
+    doc = json.loads(json_path.read_text())
+    assert doc["summary"]["ks"] == [2, 3]
+    assert [(r["k"], r["seed"]) for r in doc["rows"]] == [(2, 1), (3, 1)]
+
+
+def test_report_row_field_count_checked(tmp_path):
+    path = tmp_path / "r.csv"
+    line = synthetic_row(3, 1, 5.0).to_csv_line()
+    for bad in (line.rsplit(",", 1)[0], line + ",extra"):
+        path.write_text(",".join(REPORT_COLUMNS) + f"\n{bad}\n")
+        with pytest.raises(ValueError, match="report fields"):
+            load_report(path)
 
 
 def test_empty_files_rejected(tmp_path):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ikann.errors import DegenerateAxis, UnreachableTarget
-from ikann.kinematics import (ELBOW_B, RobotGeometry, forward_kinematics,
+from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry, forward_kinematics,
                               forward_kinematics_batch, inverse_kinematics,
                               is_reachable, wrap_angle)
 
@@ -117,3 +119,15 @@ def test_wrap_angle():
     assert wrap_angle(3 * PI) == pytest.approx(PI)
     assert wrap_angle(-3 * PI) == pytest.approx(PI)
     assert wrap_angle(0.5) == 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(links=st.tuples(*[st.floats(5.0, 300.0)] * 3),
+       branch=st.sampled_from([ELBOW_A, ELBOW_B]),
+       q=st.tuples(*[st.floats(-PI, PI)] * 3))
+def test_fk_ik_roundtrip_property(links, branch, q):
+    # every tip position FK reaches is reachable; keep those off the base axis
+    geom = RobotGeometry(*links, elbow_branch=branch)
+    x = forward_kinematics(q, geom)
+    assume(math.hypot(x[0], x[1]) >= 1e-6)
+    assert np.linalg.norm(forward_kinematics(inverse_kinematics(x, geom), geom) - x) < 1e-9
