@@ -122,10 +122,11 @@ def _cmd_eval(args, geom, box_override):
 def _cmd_bound(args, box_override):
     saved = load_model(args.model)
     box = box_override if box_override is not None else saved.box
-    n = saved.meta.get("samples_per_axis", 0) ** 3
-    if not n:
-        raise ValueError("model metadata lacks samples_per_axis; cannot size the bound")
-    report = compute_bound_report(saved.params, n, box, args.bound_scale_mm)
+    k = saved.meta.get("samples_per_axis")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"{args.model}: model metadata lacks a positive integer "
+                         "samples_per_axis; cannot size the bound")
+    report = compute_bound_report(saved.params, k ** 3, box, args.bound_scale_mm)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 

@@ -1,11 +1,11 @@
 """Experiment orchestration: single runs, the samples-per-axis sweep,
 convergence-rate fitting, and CSV/JSON persistence.
 
-Runs are deterministic per (k, seed, config). The sweep builds each k's grid
-once and trains all seeds of that k in lockstep (``neuralnet.train_many``);
-a model trained in the stack computes exactly what it computes alone, so the
-rows never depend on how cells are grouped. Rows are emitted sorted by
-(k, seed).
+Runs are deterministic per (k, seed, config). The sweep builds every k's grid
+once, first, and then trains all its cells as one lockstep stack
+(``neuralnet.train_lockstep``); a model trained in the stack computes exactly
+what it computes alone, so the rows never depend on how cells are grouped.
+Rows are emitted sorted by (k, seed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import bound as bound_mod
 from .errors import IkannError, InsufficientData
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry
 from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace, SPLIT_ROUNDING,
-                        split_sizes, train, train_many)
+                        split_sizes, train, train_lockstep)
 from .sampler import DEFAULT_BOX, TrainingSet, WorkspaceBox, generate_grid, spacing_mm
 from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
                          evaluate_tracking, make_heart_path,
@@ -201,23 +201,27 @@ def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
     _check_ks(ks)
-    group = sorted(set(seeds))
-    by_cell, models, traces = {}, {}, {}
+    # one grid per k; a grid that cannot be built fails every seed of its k
+    grids = {}
     for k in sorted(set(ks)):
-        # one grid per k, all seeds in lockstep; a grid that cannot be built
-        # fails every seed of k, a diverged model only its own cell
         try:
-            ds = generate_grid(cfg.box, k, cfg.geom)
+            grids[k] = generate_grid(cfg.box, k, cfg.geom)
         except IkannError as exc:
-            trained = [exc] * len(group)
+            grids[k] = exc
+    cells = [(k, s) for k in sorted(grids) for s in sorted(set(seeds))]
+    ready = [(k, s) for k, s in cells if isinstance(grids[k], TrainingSet)]
+    # every cell that has a grid trains in one stack; a diverged model fails
+    # only its own cell
+    jobs = [(grids[k], replace(cfg.training, seed=s)) for k, s in ready]
+    trained = dict(zip(ready, train_lockstep(jobs) if jobs else []))
+    by_cell, models, traces = {}, {}, {}
+    for k, s in cells:
+        t = trained.get((k, s), grids[k])   # or the exception of a grid not built
+        if isinstance(t, Exception):
+            by_cell[(k, s)] = _failed_row(k, s, t)
         else:
-            trained = train_many(ds, [replace(cfg.training, seed=s) for s in group])
-        for s, t in zip(group, trained):
-            if isinstance(t, Exception):
-                by_cell[(k, s)] = _failed_row(k, s, t)
-            else:
-                by_cell[(k, s)] = _finish_cell(k, s, ds, cfg, *t)
-                models[(k, s)], traces[(k, s)] = t
+            by_cell[(k, s)] = _finish_cell(k, s, grids[k], cfg, *t)
+            models[(k, s)], traces[(k, s)] = t
 
     rows = [by_cell[(k, s)] for k in ks for s in seeds]
     return SweepResult(rows=rows, summary=summarize(rows),
@@ -321,7 +325,9 @@ def _json_17g(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        text = format(float(obj), ".17g")
+        # "-0" would read back as the integer 0 and lose the sign
+        return "-0.0" if text == "-0" else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -367,20 +373,35 @@ def save_model(params: NetworkParams, path, box: WorkspaceBox, meta: dict | None
 
 
 def load_model(path) -> SavedModel:
+    """Read a model written by :func:`save_model`; raises ValueError naming
+    the file and the bad key when the file does not hold such a model."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}")
-    params = NetworkParams(
-        w1=np.array(doc["w1"], dtype=float),
-        b1=np.array(doc["b1"], dtype=float),
-        w2=np.array(doc["w2"], dtype=float),
-        b2=np.array(doc["b2"], dtype=float),
-    )
-    return SavedModel(params=params,
-                      input_min=np.array(doc["input_min"], dtype=float),
-                      input_max=np.array(doc["input_max"], dtype=float),
-                      meta=doc.get("meta", {}))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: key 'meta' must be a JSON object")
+    arrays = {}
+    for key in ("w1", "b1", "w2", "b2", "input_min", "input_max"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            arrays[key] = np.array(doc[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: key {key!r} is not an array of numbers") from None
+    try:
+        params = NetworkParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
+        WorkspaceBox(lo=arrays["input_min"], hi=arrays["input_max"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return SavedModel(params=params, input_min=arrays["input_min"],
+                      input_max=arrays["input_max"], meta=meta)
 
 
 def export_dataset(ds: TrainingSet, path):

@@ -210,20 +210,37 @@ def split_dataset(ds: TrainingSet, cfg: TrainingConfig, seed: int) -> SplitIndic
                         test=np.sort(perm[n_val:n_val + n_test]))
 
 
+def _bias_corrections(beta, epoch, per_epoch):
+    """(batches, rows, 1) array of 1 - beta**t for the Adam step t of each
+    row's batch j in this epoch. ``per_epoch`` lists (lo, hi, q), largest q
+    first: rows lo:hi take q steps per epoch, so they have taken epoch * q.
+    The values are Python floats, the bits a model alone would use."""
+    bc = np.ones((per_epoch[0][2], per_epoch[-1][1], 1))
+    for lo, hi, q in per_epoch:
+        bc[:q, lo:hi, 0] = [[1.0 - beta ** t] for t in range(epoch * q + 1, epoch * q + q + 1)]
+    return bc
+
+
 def train(ds: TrainingSet, cfg: TrainingConfig):
     """Train one model on the grid dataset per the configured recipe (see
-    :func:`train_many`). Returns (NetworkParams, TrainingTrace).
+    :func:`train_lockstep`). Returns (NetworkParams, TrainingTrace).
 
     Raises NonFiniteLoss if either loss leaves the finite range.
     """
-    result = train_many(ds, [cfg])[0]
+    result = train_lockstep([(ds, cfg)])[0]
     if isinstance(result, NonFiniteLoss):
         raise result
     return result
 
 
 def train_many(ds: TrainingSet, cfgs) -> list:
-    """Train one model per config on one dataset, all in lockstep.
+    """Train one model per config on one dataset, all in lockstep (see
+    :func:`train_lockstep`)."""
+    return train_lockstep([(ds, c) for c in cfgs])
+
+
+def train_lockstep(jobs) -> list:
+    """Train one model per (dataset, config) pair, all in lockstep.
 
     Inputs are normalized by the dataset box; targets stay in radians. With
     early stopping on, an epoch counts as non-improving when it fails to beat
@@ -231,50 +248,80 @@ def train_many(ds: TrainingSet, cfgs) -> list:
     consecutive non-improving epochs the model stops and leaves the stack.
     The best-validation parameters are restored at the end either way.
 
-    The configs may differ only in ``seed``, so every model has the same split
-    sizes and batch schedule and one stacked Adam step serves them all. Each
-    model keeps its own init, split, shuffle stream and early-stopping state,
-    and computes exactly what it would alone.
+    The datasets may differ; the configs may differ only in ``seed``. The
+    stack is sorted by training-set size, largest first, so that one stacked
+    Adam step serves every model with a full batch at that point of its epoch
+    (``_kernels.plan``). Each model keeps its own init, split, shuffle stream,
+    Adam step count and early-stopping state, and computes exactly what it
+    would alone.
 
-    Returns one entry per config: (NetworkParams, TrainingTrace), or the
-    NonFiniteLoss raised when either of that model's losses left the finite
-    range.
+    Returns one entry per pair, in order: (NetworkParams, TrainingTrace), or
+    the NonFiniteLoss raised when either of that model's losses left the
+    finite range.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise ValueError("train_many needs at least one config")
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+    jobs = list(jobs)
+    if not jobs:
+        raise ValueError("training needs at least one (dataset, config) pair")
+    cfg = jobs[0][1]
+    if any(replace(c, seed=cfg.seed) != cfg for _, c in jobs):
         raise ValueError("configs trained in lockstep may differ only in seed")
-    x = np.ascontiguousarray(normalize_input(ds.points, ds.box))
-    y = np.ascontiguousarray(ds.angles)
-    splits = [split_dataset(ds, c, c.seed) for c in cfgs]
-    val = np.stack([s.val for s in splits])
-    x_val, y_val = x[val], y[val]
 
-    theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for c in cfgs])
+    # every distinct dataset once in x_all, y_all; the indices below are into them
+    offsets, xs, ys = {}, [], []
+    for ds, _ in jobs:
+        if id(ds) not in offsets:
+            offsets[id(ds)] = sum(len(x) for x in xs)
+            xs.append(normalize_input(ds.points, ds.box))
+            ys.append(ds.angles)
+    x_all, y_all = np.concatenate(xs), np.concatenate(ys)
+    splits = [split_dataset(ds, c, c.seed) for ds, c in jobs]
+    train_idx = [s.train + offsets[id(ds)] for s, (ds, _) in zip(splits, jobs)]
+    val_idx = [s.val + offsets[id(ds)] for s, (ds, _) in zip(splits, jobs)]
+    n_train = np.array([len(t) for t in train_idx])
+    n_val = np.array([len(t) for t in val_idx])
+
+    # stack row -> job index, largest training set first
+    live = np.array(sorted(range(len(jobs)), key=lambda i: -n_train[i]))
+    theta = np.stack([_flat_row(init_params(cfg.hidden, jobs[i][1].seed)) for i in live])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    best = theta.copy()
-    rngs = [np.random.default_rng([c.seed, 2]) for c in cfgs]
-    traces = [TrainingTrace() for _ in cfgs]
-    results = [None] * len(cfgs)
-    best_val = [math.inf] * len(cfgs)
-    prev_val = [math.inf] * len(cfgs)
-    bad_epochs = [0] * len(cfgs)
-    live = np.arange(len(cfgs))   # stack row -> config index
-    step = 0
+    steps_per_epoch = -(-n_train // cfg.batch_size)
 
+    best = np.zeros((len(jobs), theta.shape[1]))
+    rngs = [np.random.default_rng([c.seed, 2]) for _, c in jobs]
+    traces = [TrainingTrace() for _ in jobs]
+    results = [None] * len(jobs)
+    best_val = [math.inf] * len(jobs)
+    prev_val = [math.inf] * len(jobs)
+    bad_epochs = [0] * len(jobs)
+
+    def layout(live, theta, m, v):
+        """The batch plan, validation blocks, loss divisors and runs of equal
+        steps per epoch of a stack; they change only when a model leaves it."""
+        schedule = _kernels.plan(theta, m, v, cfg.hidden, n_train[live], cfg.batch_size)
+        blocks = []   # one validation call per run of equal val sizes
+        for lo, hi, nv in _kernels.runs(n_val[live]):
+            if nv:
+                idx = np.stack([val_idx[i] for i in live[lo:hi]])
+                blocks.append((slice(lo, hi), _kernels.unpack(theta[lo:hi], cfg.hidden),
+                               x_all[idx], y_all[idx]))
+        return (schedule, blocks, n_train[live] * 3.0,
+                list(_kernels.runs(steps_per_epoch[live])))
+
+    schedule, blocks, n3, per_epoch = layout(live, theta, m, v)
     for epoch in range(cfg.max_epochs):
-        orders = np.stack([rngs[i].permutation(splits[i].train) for i in live])
+        orders = np.zeros((len(live), n_train[live[0]]), dtype=np.intp)
+        for row, i in enumerate(live):
+            orders[row, :n_train[i]] = rngs[i].permutation(train_idx[i])
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            step, train_loss = _kernels.epoch_step(
-                theta, m, v, cfg.hidden, x[orders], y[orders], cfg.batch_size,
-                cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, step)
-            if x_val.shape[1]:
-                val_loss = _kernels.mse(*_kernels.unpack(theta, cfg.hidden), x_val, y_val)
-            else:
-                val_loss = train_loss
+            train_loss = _kernels.epoch_step(
+                schedule, np.take(x_all, orders, axis=0), np.take(y_all, orders, axis=0),
+                _bias_corrections(ADAM_BETA1, epoch, per_epoch),
+                _bias_corrections(ADAM_BETA2, epoch, per_epoch),
+                cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS) / n3
+            val_loss = train_loss.copy()
+            for rows, params, x_val, y_val in blocks:
+                val_loss[rows] = _kernels.mse(*params, x_val, y_val)
         keep = []
         for row, i in enumerate(live):
             tl, vl = float(train_loss[row]), float(val_loss[row])
@@ -302,7 +349,7 @@ def train_many(ds: TrainingSet, cfgs) -> list:
             if not keep:
                 break
             live, theta, m, v = live[keep], theta[keep], m[keep], v[keep]
-            x_val, y_val = x_val[keep], y_val[keep]
+            schedule, blocks, n3, per_epoch = layout(live, theta, m, v)
 
     if not cfg.early_stopping:
         best[live] = theta

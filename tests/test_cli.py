@@ -111,6 +111,24 @@ def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema": "ik-ann-model/1"}',
+    "[]",
+    '{"schema": "ik-ann-model/1", "hidden": 1, "w1": [[0, 0, 0]], "b1": [0], '
+    '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
+    '"input_max": [1, 1, 1], "meta": []}',
+])
+def test_bad_model_file_exit_2(tmp_path, capsys, text):
+    model = tmp_path / "bad.json"
+    model.write_text(text)
+    for argv in (["bound", "--model", str(model)],
+                 ["eval", "--model", str(model), "--emit", str(tmp_path / "t.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {model}: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_runtime_failure_exit_3(tmp_path, capsys):
     rc = main(["--box", "250,310,250,310,250,310", "dataset",
                "--samples-per-axis", "2", "--out", str(tmp_path / "z.csv")])

@@ -4,6 +4,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ikann.errors import InsufficientData
 from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
@@ -11,7 +14,7 @@ from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            fit_convergence_rate, import_dataset, load_model,
                            load_report, run_experiment, run_sweep, save_model,
                            summarize, write_training_curve)
-from ikann.neuralnet import TrainingConfig, init_params
+from ikann.neuralnet import NetworkParams, TrainingConfig, init_params
 from ikann.sampler import WorkspaceBox, generate_grid
 from ikann.trajectory import make_rectangle_path
 
@@ -112,6 +115,20 @@ def test_sweep_rows_independent_of_grouping():
     alone = run_sweep([5], [1, 2, 3], cfg)
     full = run_sweep(range(2, 9), [1, 2, 3], cfg)
     assert alone.rows == [r for r in full.rows if r.k == 5]
+
+
+@settings(max_examples=25, deadline=None)
+@given(ks=st.sets(st.integers(2, 6), min_size=1),
+       seeds=st.sets(st.integers(1, 6), min_size=1, max_size=3),
+       max_epochs=st.integers(1, 30), patience=st.integers(1, 3),
+       min_delta=st.sampled_from([1e-5, 1e-3, 1e-2]))
+def test_sweep_rows_match_run_experiment_property(ks, seeds, max_epochs, patience, min_delta):
+    # one stack of mixed grid sizes, where models stop early at different
+    # epochs, gives each cell the row it gets alone
+    cfg = HarnessConfig(training=TrainingConfig(max_epochs=max_epochs, patience=patience,
+                                                min_delta=min_delta))
+    rows = run_sweep(ks, seeds, cfg).rows
+    assert rows == [run_experiment(k, s, cfg) for k in sorted(ks) for s in sorted(seeds)]
 
 
 def test_run_sweep_k_range():
@@ -258,6 +275,73 @@ def test_model_roundtrip_bitwise(tmp_path, box):
     assert doc["schema"] == "ik-ann-model/1"
     assert doc["activation"] == "relu"
     assert doc["hidden"] == 16
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def saved_models(draw):
+    h = draw(st.integers(1, 4))
+    weights = [draw(arrays(np.float64, shape, elements=finite))
+               for shape in ((h, 3), (h,), (3, h), (3,))]
+    lo, hi = (draw(arrays(np.float64, (3,), elements=finite)) for _ in range(2))
+    assume(np.all(np.minimum(lo, hi) < np.maximum(lo, hi)))
+    box = WorkspaceBox(lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+    return NetworkParams(*weights), box
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=saved_models())
+@example(model=(NetworkParams(np.array([[-0.0, 5e-324, -2.2250738585072014e-308]]),
+                              np.array([-0.0]), np.array([[1e-310], [-0.0], [0.0]]),
+                              np.array([-5e-324, -0.0, 1.7976931348623157e308])),
+                WorkspaceBox(lo=np.array([-0.0, -1e-320, -1.0]),
+                             hi=np.array([5e-324, 0.0, -0.0]))))
+def test_model_roundtrip_bitwise_property(tmp_path_factory, model):
+    # every weight and box bound reads back with its bits, -0.0 and
+    # subnormals included
+    params, box = model
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(params, path, box)
+    saved = load_model(path)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert same_bits(getattr(saved.params, name), getattr(params, name)), name
+    assert same_bits(saved.input_min, box.lo) and same_bits(saved.input_max, box.hi)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": "ik-ann-model/1"}', "missing key 'w1'"),
+    ("[]", "expected a JSON object, got list"),
+    ("not json", "not a JSON file"),
+])
+def test_model_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_model_file_bad_keys_rejected(tmp_path, box):
+    good = tmp_path / "good.json"
+    save_model(init_params(4, 1), good, box, meta={"samples_per_axis": 3})
+    for key, value, message in (("meta", [], "key 'meta' must be a JSON object"),
+                                ("w1", [[1.0, 2.0]], "inconsistent parameter shapes"),
+                                ("b2", "abc", "key 'b2' is not an array of numbers"),
+                                ("input_min", {"a": 1}, "key 'input_min' is not an array"),
+                                ("input_max", [0.0, 0.0, 0.0], "lo < hi")):
+        doc = json.loads(good.read_text())
+        doc[key] = value
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_model_schema_rejected(tmp_path):

@@ -7,7 +7,8 @@ from ikann.errors import NonFiniteLoss
 from ikann.neuralnet import (Gradients, NetworkParams,
                              TrainingConfig, adam_step, backward, forward,
                              init_adam_state, init_params, loss, predict,
-                             split_dataset, split_sizes, train, train_many)
+                             split_dataset, split_sizes, train, train_lockstep,
+                             train_many)
 from ikann.sampler import generate_grid, normalize_input
 
 
@@ -172,9 +173,11 @@ def test_adam_epoch_matches_kernel(k3_dataset):
     p2 = init_params(4, 3)
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    step, _ = _kernels.epoch_step(theta, m, v, 4, x[order][None], y[order][None],
-                                  cfg.batch_size, cfg.learning_rate, 0.9, 0.999, 1e-8, 0)
-    assert step == state.t
+    schedule = _kernels.plan(theta, m, v, 4, [ds.n], cfg.batch_size)
+    assert len(schedule[1]) == state.t
+    t = np.arange(1, state.t + 1)[:, None, None]
+    _kernels.epoch_step(schedule, x[order][None], y[order][None], 1.0 - 0.9 ** t,
+                        1.0 - 0.999 ** t, cfg.learning_rate, 0.9, 0.999, 1e-8)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(b1, p.b1, rtol=1e-12, atol=1e-15)
@@ -281,22 +284,35 @@ def test_train_many_without_early_stopping(box):
 
 
 def test_train_many_isolates_divergence(box):
-    # at this learning rate some seeds diverge and others do not
-    ds = generate_grid(box, 2)
-    cfgs = [TrainingConfig(seed=s, learning_rate=1.6e76, max_epochs=40) for s in range(1, 9)]
+    # a mixed k = 2 / k = 3 stack, in interleaved order; at this learning rate
+    # some k = 2 seeds diverge and others do not, and every k = 3 seed diverges
+    grids = {k: generate_grid(box, k) for k in (2, 3)}
+    jobs = [(grids[k], TrainingConfig(seed=s, learning_rate=1.6e76, max_epochs=40))
+            for s in range(1, 9) for k in (2, 3)]
     alone = []
-    for cfg in cfgs:
+    for ds, cfg in jobs:
         try:
             alone.append(train(ds, cfg))
         except NonFiniteLoss as exc:
             alone.append(exc)
     diverged = [isinstance(a, NonFiniteLoss) for a in alone]
-    assert any(diverged) and not all(diverged)
-    for a, got in zip(alone, train_many(ds, cfgs)):
+    assert any(diverged[0::2]) and not all(diverged[0::2]) and all(diverged[1::2])
+    for a, got in zip(alone, train_lockstep(jobs)):
         if isinstance(a, NonFiniteLoss):
             assert isinstance(got, NonFiniteLoss) and str(got) == str(a)
         else:
             assert_same_training(got, a)
+
+
+def test_train_lockstep_mixed_sizes_match_train_alone(box):
+    # k = 2..4 with early stopping: seed 1 of k = 2 leaves the end of the
+    # stack at epoch 71, seed 3 of k = 3 its middle at epoch 140
+    jobs = [(generate_grid(box, k), TrainingConfig(seed=s, max_epochs=150))
+            for k in (2, 3, 4) for s in (1, 3)]
+    lockstep = train_lockstep(jobs)
+    assert len({t.epochs_run for _, t in lockstep}) > 2
+    for (ds, cfg), got in zip(jobs, lockstep):
+        assert_same_training(got, train(ds, cfg))
 
 
 def test_train_many_rejects_mixed_configs(box):
@@ -305,6 +321,9 @@ def test_train_many_rejects_mixed_configs(box):
         train_many(ds, [])
     with pytest.raises(ValueError):
         train_many(ds, [TrainingConfig(seed=1), TrainingConfig(seed=2, hidden=8)])
+    with pytest.raises(ValueError):
+        train_lockstep([(ds, TrainingConfig(seed=1)),
+                        (generate_grid(box, 3), TrainingConfig(seed=1, max_epochs=7))])
 
 
 def test_best_val_not_worse_than_first_epoch(box):
