@@ -4,14 +4,14 @@ size of the training grid."""
 
 from .bound import compute_bound_report
 from .harness import HarnessConfig, run_experiment, run_sweep
-from .neuralnet import TrainingConfig, train, train_many
+from .neuralnet import TrainingConfig, train, train_lockstep
 from .sampler import DEFAULT_BOX, generate_grid
 from .trajectory import evaluate_tracking, make_rectangle_path
 
 __all__ = [
     "DEFAULT_BOX", "HarnessConfig", "TrainingConfig", "compute_bound_report",
     "evaluate_tracking", "generate_grid", "make_rectangle_path",
-    "run_experiment", "run_sweep", "train", "train_many",
+    "run_experiment", "run_sweep", "train", "train_lockstep",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,7 @@
-"""Error-bound machinery for the trained network.
+"""Error-bound machinery for the trained network: global bounds on its
+Jacobian, the Lipschitz constant, and the sample-count error estimate. Every
+quantity comes from the weights alone; nothing here evaluates the network at
+a point.
 
 Two derivative bounds are kept side by side:
 
@@ -50,14 +53,6 @@ class BoundReport:
         return asdict(self)
 
 
-def jacobian_at(p: NetworkParams, x_norm) -> np.ndarray:
-    """Network Jacobian at one point: J[k, i] = sum_j w2[k,j] mask_j w1[j,i],
-    where mask_j is 1 iff hidden unit j has positive pre-activation."""
-    x = np.asarray(x_norm, dtype=float)
-    mask = (p.w1 @ x + p.b1) > 0.0
-    return (p.w2 * mask) @ p.w1
-
-
 def jacobian_inf_norm_bound(p: NetworkParams) -> float:
     """Global upper bound on ||J(x)||_inf: all-active weight-product row sums."""
     return float(np.max(np.sum(np.abs(p.w2) @ np.abs(p.w1), axis=1)))
@@ -70,12 +65,6 @@ def lipschitz_gamma(p: NetworkParams) -> float:
 def mean_abs_output_weight(p: NetworkParams) -> float:
     """w_bar: mean absolute hidden-to-output weight."""
     return float(np.mean(np.abs(p.w2)))
-
-
-def error_bound_at(gamma: float, delta_x_norm: float) -> float:
-    """Squared-error bound at a test point a normalized distance
-    ``delta_x_norm`` from its nearest training point: (gamma^2 + 1) * delta^2."""
-    return (gamma * gamma + 1.0) * delta_x_norm * delta_x_norm
 
 
 def sample_bound(n: int, w_bar: float) -> float:

@@ -21,7 +21,7 @@ from .harness import (HarnessConfig, emit_report, export_dataset,
 from .kinematics import RobotGeometry
 from .neuralnet import TrainingConfig, train
 from .sampler import DEFAULT_BOX, WorkspaceBox, generate_grid
-from .trajectory import HEART, RECTANGLE, make_heart_path, make_rectangle_path
+from .trajectory import HEART, RECTANGLE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +110,7 @@ def _cmd_train(args, geom, box, seed):
 def _cmd_eval(args, geom, box_override):
     saved = load_model(args.model)
     box = box_override if box_override is not None else saved.box
-    traj = make_rectangle_path(box) if args.path == RECTANGLE else make_heart_path()
+    traj = HarnessConfig(geom=geom, box=box, path_kind=args.path).make_path()
     report = export_trajectory(traj, saved.params, geom, box, args.emit)
     print(f"{args.path} path, {report.n_points} points: "
           f"mean {report.mean_mm:.3f} mm, std {report.std_mm:.3f} mm, "

@@ -19,7 +19,7 @@ class UnreachableGridPoint(IkannError):
     def __init__(self, index, point):
         self.index = index
         self.point = point
-        super().__init__(f"grid point {index} at {tuple(point)} mm is unreachable")
+        super().__init__(f"grid point {index} at {tuple(map(float, point))} mm is unreachable")
 
 
 class NotACube(IkannError):

@@ -59,17 +59,6 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-def forward_kinematics(q, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
-    """Tip position in mm for joint angles ``q = (q1, q2, q3)`` in radians."""
-    q1, q2, q3 = float(q[0]), float(q[1]), float(q[2])
-    r = geom.l2 * math.cos(q2) + geom.l3 * math.cos(q2 + q3)
-    return np.array([
-        r * math.cos(q1),
-        r * math.sin(q1),
-        geom.l1 + geom.l2 * math.sin(q2) + geom.l3 * math.sin(q2 + q3),
-    ])
-
-
 def forward_kinematics_batch(q: np.ndarray, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Vectorized forward kinematics for an (N, 3) array of joint angles."""
     q = np.asarray(q, dtype=float)
@@ -84,8 +73,10 @@ def forward_kinematics_batch(q: np.ndarray, geom: RobotGeometry = DEFAULT_GEOMET
 def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Joint angles realizing tip position ``x`` in mm.
 
-    Raises UnreachableTarget outside the annular workspace and DegenerateAxis
-    on the base axis (x1 = x2 = 0), where the yaw is undefined.
+    This is the one reach rule of the package: it raises UnreachableTarget
+    when no elbow angle places the tip at ``x`` (|D| beyond 1 by more than
+    rounding noise, or a non-finite coordinate), and DegenerateAxis on the
+    base axis (x1 = x2 = 0), where the yaw is undefined.
     """
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
     r = math.hypot(x1, x2)
@@ -93,7 +84,8 @@ def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
         raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
     s = x3 - geom.l1
     d = (r * r + s * s - geom.l2 ** 2 - geom.l3 ** 2) / (2.0 * geom.l2 * geom.l3)
-    if abs(d) > 1.0 + _REACH_TOL:
+    # written so that NaN fails too
+    if not abs(d) <= 1.0 + _REACH_TOL:
         raise UnreachableTarget(f"({x1}, {x2}, {x3}) is outside the workspace (D={d:.6g})")
     d = min(1.0, max(-1.0, d))
     root = math.sqrt(1.0 - d * d)
@@ -101,14 +93,3 @@ def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     q1 = math.atan2(x2, x1)
     q2 = math.atan2(s, r) - math.atan2(geom.l3 * math.sin(q3), geom.l2 + geom.l3 * math.cos(q3))
     return np.array([q1, wrap_angle(q2), q3])
-
-
-def is_reachable(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> bool:
-    """Whether the tip can be placed at ``x``: the squared planar/vertical
-    offset from the shoulder must fall inside the annulus [(l2-l3)^2, (l2+l3)^2]."""
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    s = x3 - geom.l1
-    rho2 = x1 * x1 + x2 * x2 + s * s
-    outer = (geom.l2 + geom.l3) ** 2
-    inner = (geom.l2 - geom.l3) ** 2
-    return rho2 <= outer * (1.0 + _REACH_TOL) and rho2 >= inner * (1.0 - _REACH_TOL)

@@ -85,9 +85,6 @@ class SplitIndices:
     val: np.ndarray
     test: np.ndarray
 
-    def sizes(self):
-        return len(self.train), len(self.val), len(self.test)
-
 
 @dataclass
 class Gradients:
@@ -97,13 +94,6 @@ class Gradients:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-
-
-@dataclass
-class AdamState:
-    m: Gradients
-    v: Gradients
-    t: int = 0
 
 
 def init_params(hidden: int, seed: int) -> NetworkParams:
@@ -127,12 +117,6 @@ def _params_from_row(theta: np.ndarray, hidden: int) -> NetworkParams:
     return NetworkParams(w1=a1.T.copy(), b1=b1.copy(), w2=a2.T.copy(), b2=b2.copy())
 
 
-def forward(p: NetworkParams, x_norm) -> np.ndarray:
-    """Single-point network output: w2 @ relu(w1 @ x + b1) + b2."""
-    x = np.asarray(x_norm, dtype=float)
-    return p.w2 @ np.maximum(p.w1 @ x + p.b1, 0.0) + p.b2
-
-
 def predict(p: NetworkParams, x_norm: np.ndarray) -> np.ndarray:
     """Batched network output for an (N, 3) array of normalized inputs."""
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
@@ -153,29 +137,6 @@ def backward(p: NetworkParams, x_norm: np.ndarray, q_target: np.ndarray) -> Grad
     _, g = _kernels.gradients(*_kernels.unpack(_flat_row(p)[None], p.hidden), x[None], y[None])
     ga1, gb1, ga2, gb2 = _kernels.unpack(g[0], p.hidden)
     return Gradients(w1=ga1.T.copy(), b1=gb1, w2=ga2.T.copy(), b2=gb2)
-
-
-def init_adam_state(p: NetworkParams) -> AdamState:
-    zeros = lambda: Gradients(np.zeros_like(p.w1), np.zeros_like(p.b1),
-                              np.zeros_like(p.w2), np.zeros_like(p.b2))
-    return AdamState(m=zeros(), v=zeros(), t=0)
-
-
-def adam_step(p: NetworkParams, grads: Gradients, state: AdamState,
-              lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS):
-    """One Adam update with bias correction; returns (params, state)."""
-    t = state.t + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    new_p, new_m, new_v = {}, {}, {}
-    for name in ("w1", "b1", "w2", "b2"):
-        g = getattr(grads, name)
-        m = beta1 * getattr(state.m, name) + (1.0 - beta1) * g
-        v = beta2 * getattr(state.v, name) + (1.0 - beta2) * (g * g)
-        new_m[name], new_v[name] = m, v
-        new_p[name] = getattr(p, name) - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return NetworkParams(**new_p), AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t)
 
 
 def _round_half_up(x: float) -> int:
@@ -231,12 +192,6 @@ def train(ds: TrainingSet, cfg: TrainingConfig):
     if isinstance(result, NonFiniteLoss):
         raise result
     return result
-
-
-def train_many(ds: TrainingSet, cfgs) -> list:
-    """Train one model per config on one dataset, all in lockstep (see
-    :func:`train_lockstep`)."""
-    return train_lockstep([(ds, c) for c in cfgs])
 
 
 def train_lockstep(jobs) -> list:

@@ -1,7 +1,9 @@
 """Evenly spaced Cartesian training grids with inverse-kinematics labels.
 
-Inputs are normalized to [0, 1] per axis using the box bounds (not the data);
-joint-angle outputs stay in raw radians.
+A grid point is in reach exactly when ``inverse_kinematics`` labels it; the
+grid applies no reach test of its own. Inputs are normalized to [0, 1] per
+axis using the box bounds (not the data); joint-angle outputs stay in raw
+radians.
 """
 
 from __future__ import annotations
@@ -10,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotACube, UnreachableGridPoint
+from .errors import NotACube, UnreachableGridPoint, UnreachableTarget
 from .kinematics import (
     DEFAULT_GEOMETRY,
     RobotGeometry,
     forward_kinematics_batch,
     inverse_kinematics,
-    is_reachable,
 )
 
 # FK(IK(X)) must reproduce every grid point to this accuracy, else the
@@ -36,6 +37,8 @@ class WorkspaceBox:
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
         if self.lo.shape != (3,) or self.hi.shape != (3,):
             raise ValueError("box bounds must be 3-vectors")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("box bounds must be finite")
         if not np.all(self.lo < self.hi):
             raise ValueError("box must satisfy lo < hi on every axis")
 
@@ -46,12 +49,6 @@ class WorkspaceBox:
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-
-    def corners(self) -> np.ndarray:
-        return np.array([[a, b, c]
-                         for a in (self.lo[0], self.hi[0])
-                         for b in (self.lo[1], self.hi[1])
-                         for c in (self.lo[2], self.hi[2])])
 
 
 DEFAULT_BOX = WorkspaceBox(lo=np.array([20.0, 20.0, 0.0]), hi=np.array([80.0, 80.0, 60.0]))
@@ -75,7 +72,8 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
     """Build the k^3 training grid over ``box`` with IK labels.
 
     Points are ordered row-major (x1 slowest, x3 fastest). Raises
-    UnreachableGridPoint if any grid point lies outside the workspace.
+    UnreachableGridPoint for the first point that inverse kinematics cannot
+    reach.
     """
     if k < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -83,11 +81,12 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
+    angles = np.empty_like(points)
     for idx, p in enumerate(points):
-        if not is_reachable(p, geom):
-            raise UnreachableGridPoint(idx, p)
-
-    angles = np.array([inverse_kinematics(p, geom) for p in points])
+        try:
+            angles[idx] = inverse_kinematics(p, geom)
+        except UnreachableTarget:
+            raise UnreachableGridPoint(idx, p) from None
     residual = np.linalg.norm(forward_kinematics_batch(angles, geom) - points, axis=1)
     worst = float(residual.max())
     if worst >= _LABEL_TOL_MM:
@@ -98,11 +97,6 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
 def normalize_input(x, box: WorkspaceBox) -> np.ndarray:
     """Map mm coordinates into box-relative [0, 1] units (linear, unclamped)."""
     return (np.asarray(x, dtype=float) - box.lo) / box.span
-
-
-def denormalize_input(u, box: WorkspaceBox) -> np.ndarray:
-    """Exact inverse of :func:`normalize_input`."""
-    return np.asarray(u, dtype=float) * box.span + box.lo
 
 
 def exact_cube_root(n: int) -> int:

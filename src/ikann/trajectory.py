@@ -18,7 +18,6 @@ from .sampler import DEFAULT_BOX, WorkspaceBox, normalize_input
 
 RECTANGLE = "rectangle"
 HEART = "heart"
-CUSTOM = "custom"
 
 
 class PathOutsideBoxWarning(UserWarning):
@@ -148,10 +147,3 @@ def evaluate_tracking(model, traj: TrajectorySpec,
     per-point Euclidean errors in mm."""
     _, _, err = tracking_details(model, traj, geom, box)
     return EvalReport.from_errors(err)
-
-
-def error_to_spacing(mean_err_mm: float, d_mm: float) -> float:
-    """Sample-efficiency ratio: mean tracking error over inter-sample spacing."""
-    if d_mm <= 0:
-        raise ValueError("spacing must be positive")
-    return mean_err_mm / d_mm

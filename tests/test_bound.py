@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import jacobian_at
 from ikann.bound import (WeightRangeWarning, check_weight_range,
-                         compute_bound_report, error_bound_at, jacobian_at,
-                         jacobian_inf_norm_bound, lipschitz_gamma,
-                         mean_abs_output_weight, rescale_to_mm, sample_bound)
+                         compute_bound_report, jacobian_inf_norm_bound,
+                         lipschitz_gamma, mean_abs_output_weight, rescale_to_mm,
+                         sample_bound)
 from ikann.errors import NotACube
-from ikann.neuralnet import NetworkParams, forward, init_params, predict
+from ikann.neuralnet import NetworkParams, init_params, predict
 
 SQRT3 = math.sqrt(3.0)
 
@@ -54,7 +55,7 @@ def test_jacobian_matches_finite_differences():
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd[:, i] = (forward(p, x + e) - forward(p, x - e)) / (2 * h)
+            fd[:, i] = (predict(p, x + e) - predict(p, x - e))[0] / (2 * h)
         assert np.max(np.abs(j - fd)) < 1e-6
         checked += 1
 
@@ -99,14 +100,6 @@ def test_mean_abs_output_weight():
                       w2=np.array([[2.0, -2.0], [2.0, 2.0], [-2.0, -2.0]]), b2=np.zeros(3))
     assert mean_abs_output_weight(p) == 2.0
     assert mean_abs_output_weight(one_unit_net()) == pytest.approx(2.0 / 3.0)
-
-
-# --- per-point bound --------------------------------------------------------
-
-def test_error_bound_at_examples():
-    assert error_bound_at(0.0, 0.5) == 0.25
-    assert error_bound_at(1.0, 0.5) == 0.5
-    assert error_bound_at(2 * SQRT3, 0.25) == pytest.approx(0.8125)
 
 
 # --- sample bound -----------------------------------------------------------

@@ -117,6 +117,10 @@ def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
     '{"schema": "ik-ann-model/1", "hidden": 1, "w1": [[0, 0, 0]], "b1": [0], '
     '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
     '"input_max": [1, 1, 1], "meta": []}',
+    pytest.param('{"schema": "ik-ann-model/1", "hidden": 1, "w1": [[0, 0, 0]], "b1": [0], '
+                 '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
+                 '"input_max": [1, 1, Infinity], "meta": {"samples_per_axis": 2}}',
+                 id="infinite-input-max"),
 ])
 def test_bad_model_file_exit_2(tmp_path, capsys, text):
     model = tmp_path / "bad.json"
@@ -134,6 +138,20 @@ def test_runtime_failure_exit_3(tmp_path, capsys):
                "--samples-per-axis", "2", "--out", str(tmp_path / "z.csv")])
     assert rc == 3
     assert "unreachable" in capsys.readouterr().err
+    rc = main(["--box=139,140,0,1,69,71", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "error: grid point 4 at (140.0, 0.0, 69.0) mm is unreachable\n"
+
+
+@pytest.mark.parametrize("box", ["20,inf,20,80,0,60", "20,80,-inf,80,0,60", "20,80,20,80,0,nan"])
+def test_non_finite_box_exit_2(tmp_path, capsys, box):
+    rc = main([f"--box={box}", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: box bounds must be finite\n"
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_unknown_command_exit_2(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import asdict
+import struct
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ikann.bound import sample_bound
 from ikann.errors import InsufficientData
 from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            emit_report, export_dataset, export_trajectory,
@@ -40,7 +42,8 @@ def test_run_experiment_k5(box):
     assert row.split_sizes == "113/6/6"
     assert row.path_kind == "rectangle"
     assert row.err_to_spacing == pytest.approx(row.mean_err_mm / 15.0, rel=1e-15)
-    row.validate(rescale_factor_mm=60.0)
+    row.validate()
+    assert row.est_bound_mm == sample_bound(row.n, row.w_bar) * 60.0
 
 
 def test_run_experiment_deterministic():
@@ -155,7 +158,8 @@ def test_run_sweep_degenerate_grid_fails_only_its_k():
     res = run_sweep([2, 3], [1, 2], cfg)
     assert [(r.k, r.failed) for r in res.rows] == [(2, False), (2, False), (3, True), (3, True)]
     for r in res.rows[:2]:
-        r.validate(rescale_factor_mm=60.0)
+        r.validate()
+        assert r.est_bound_mm == sample_bound(r.n, r.w_bar) * 60.0
         assert math.isfinite(r.mean_err_mm)
     assert {r.path_kind for r in res.rows[2:]} == {"error:DegenerateAxis"}
     assert res.summary.ks == [2]
@@ -199,6 +203,62 @@ def test_report_roundtrip(tmp_path):
     assert len(REPORT_COLUMNS) == 15
     rows = load_report(path)
     assert rows == res.rows
+
+
+def row_bits(row):
+    """A row's fields with each float as its bit pattern and every other
+    value with its type."""
+    return [struct.pack("<d", v) if type(v) is float else (type(v), v) for v in astuple(row)]
+
+
+finite_or_odd = st.floats(allow_nan=False) | st.just(math.nan)
+nonneg = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def ok_rows(draw):
+    # a row that SweepRow.validate accepts
+    k = draw(st.integers(2, 12))
+    err = draw(nonneg)
+    d = draw(st.floats(1e-3, 1e3))
+    return SweepRow(k=k, n=k ** 3, seed=draw(st.integers(-2 ** 31, 2 ** 31)),
+                    mean_err_mm=err, std_err_mm=draw(nonneg), est_bound_mm=draw(nonneg),
+                    spacing_mm=d, err_to_spacing=err / d,
+                    gamma=draw(nonneg), w_bar=draw(st.floats(0.0, 1e100)),
+                    epochs_run=draw(st.integers(1, 10 ** 6)),
+                    final_train_loss=draw(nonneg), final_val_loss=draw(nonneg),
+                    path_kind=draw(st.sampled_from(["rectangle", "heart"])),
+                    split_sizes="/".join(map(str, draw(st.tuples(*[st.integers(0, 2000)] * 3)))))
+
+
+@st.composite
+def marker_rows(draw):
+    # a failed cell's marker row, with any floats in its float columns
+    k = draw(st.integers(2, 12))
+    name = draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,20}", fullmatch=True))
+    floats = draw(st.tuples(*[finite_or_odd] * 9))
+    return SweepRow(k, k ** 3, draw(st.integers(-10, 10)), *floats[:7], 0, *floats[7:],
+                    path_kind=f"error:{name}", split_sizes="")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(ok_rows() | marker_rows(), max_size=6))
+@example(rows=[
+    SweepRow(2, 8, 1, math.nan, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+             -math.inf, 1e-310, 0, -5e-324, math.nan, "error:UnreachableGridPoint", ""),
+    SweepRow(3, 27, 1, 0.0, 5e-324, -0.0, 30.0, 0.0, 1e-320, 0.0, 500, 1e-310, 5e-324,
+             "rectangle", "25/1/1"),
+])
+def test_report_roundtrip_bitwise_property(tmp_path_factory, rows):
+    # every value of a report reads back with its bits and type, NaN, -0.0
+    # and subnormals included; the summary goes only into the JSON mirror
+    path = tmp_path_factory.mktemp("report") / "r.csv"
+    emit_report(rows, None, path)
+    loaded = load_report(path)
+    assert [row_bits(r) for r in loaded] == [row_bits(r) for r in rows]
+    again = path.with_name("again.csv")
+    emit_report(loaded, None, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_report_emission_bitwise_deterministic(tmp_path):

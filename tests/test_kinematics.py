@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ikann.errors import DegenerateAxis, UnreachableTarget
-from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry, forward_kinematics,
+from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry,
                               forward_kinematics_batch, inverse_kinematics,
-                              is_reachable, wrap_angle)
+                              wrap_angle)
 
 PI = math.pi
+
+
+def fk(q, geom):
+    """Tip position of one joint-angle triple."""
+    return forward_kinematics_batch([q], geom)[0]
 
 
 @pytest.mark.parametrize("q, expected", [
@@ -19,21 +25,13 @@ PI = math.pi
     ((0.0, 0.0, -PI / 2), (70.0, 0.0, 0.0)),       # elbow bent 90 deg down
 ])
 def test_forward_kinematics_examples(q, expected, geom):
-    np.testing.assert_allclose(forward_kinematics(q, geom), expected, atol=1e-12)
-
-
-def test_forward_batch_matches_scalar(geom):
-    rng = np.random.default_rng(0)
-    qs = rng.uniform(-PI, PI, size=(50, 3))
-    batch = forward_kinematics_batch(qs, geom)
-    single = np.array([forward_kinematics(q, geom) for q in qs])
-    np.testing.assert_allclose(batch, single, atol=1e-12)
+    np.testing.assert_allclose(fk(q, geom), expected, atol=1e-12)
 
 
 def test_inverse_kinematics_examples(geom):
     q = inverse_kinematics((70.0, 0.0, 0.0), geom)
     np.testing.assert_allclose(q, (0.0, 0.0, -PI / 2), atol=1e-12)
-    np.testing.assert_allclose(forward_kinematics(q, geom), (70.0, 0.0, 0.0), atol=1e-9)
+    np.testing.assert_allclose(fk(q, geom), (70.0, 0.0, 0.0), atol=1e-9)
 
     q = inverse_kinematics((0.0, 140.0, 70.0), geom)
     np.testing.assert_allclose(q, (PI / 2, 0.0, 0.0), atol=1e-7)
@@ -48,16 +46,34 @@ def test_degenerate_axis(geom):
 
 
 def test_is_reachable_examples(geom):
-    assert is_reachable((70.0, 0.0, 0.0), geom)
-    assert not is_reachable((300.0, 0.0, 0.0), geom)
+    # both spheres of the workspace shell are in reach, just beyond them not;
+    # with l2 = 70, l3 = 50 the inner sphere has radius 20 about the shoulder
+    inner = RobotGeometry(l1=70.0, l2=70.0, l3=50.0)
+    for x, g in (((70.0, 0.0, 0.0), geom), ((140.0, 0.0, 70.0), geom),
+                 ((20.0, 0.0, 70.0), inner)):
+        np.testing.assert_allclose(fk(inverse_kinematics(x, g), g), x, atol=1e-9)
+    for x, g in (((300.0, 0.0, 0.0), geom), ((140.0 + 1e-6, 0.0, 70.0), geom),
+                 ((20.0 - 1e-6, 0.0, 70.0), inner)):
+        with pytest.raises(UnreachableTarget):
+            inverse_kinematics(x, g)
+
+
+@pytest.mark.parametrize("x", [
+    (math.nan, 50.0, 30.0), (50.0, math.nan, 30.0), (50.0, 50.0, math.nan),
+    (math.inf, 50.0, 30.0), (50.0, -math.inf, 30.0), (50.0, 50.0, math.inf),
+    (50.0, 50.0, -math.inf), (math.inf, math.nan, 30.0),
+])
+def test_non_finite_target_unreachable(x, geom):
+    with pytest.raises(UnreachableTarget):
+        inverse_kinematics(x, geom)
 
 
 def test_box_corners_reachable(box, geom):
     # independent oracle: evaluate the reach inequality directly per corner
-    for c in box.corners():
+    for c in itertools.product(*zip(box.lo, box.hi)):
         rho2 = c[0] ** 2 + c[1] ** 2 + (c[2] - geom.l1) ** 2
         assert rho2 <= (geom.l2 + geom.l3) ** 2
-        assert is_reachable(c, geom)
+        np.testing.assert_allclose(fk(inverse_kinematics(c, geom), geom), c, atol=1e-9)
 
 
 def test_round_trip_10k(box, geom):
@@ -77,7 +93,7 @@ def test_elbow_branch_signs(box):
         assert inverse_kinematics(p, geom_a)[2] <= 0.0
         qb = inverse_kinematics(p, geom_b)
         assert qb[2] >= 0.0
-        np.testing.assert_allclose(forward_kinematics(qb, geom_b), p, atol=1e-9)
+        np.testing.assert_allclose(fk(qb, geom_b), p, atol=1e-9)
 
 
 def test_joint_angles_wrapped(box, geom):
@@ -101,7 +117,7 @@ def test_continuity_probe(box, geom):
         delta = rng.normal(size=3)
         delta *= 1e-6 / np.linalg.norm(delta)
         p2 = p + delta
-        if not (is_reachable(p2, geom) and abs(_elbow_d(p, geom)) < 1.0 - 1e-3):
+        if not max(abs(_elbow_d(p, geom)), abs(_elbow_d(p2, geom))) < 1.0 - 1e-3:
             continue
         dq = inverse_kinematics(p2, geom) - inverse_kinematics(p, geom)
         assert np.linalg.norm(dq) <= 1e-2
@@ -128,6 +144,6 @@ def test_wrap_angle():
 def test_fk_ik_roundtrip_property(links, branch, q):
     # every tip position FK reaches is reachable; keep those off the base axis
     geom = RobotGeometry(*links, elbow_branch=branch)
-    x = forward_kinematics(q, geom)
+    x = fk(q, geom)
     assume(math.hypot(x[0], x[1]) >= 1e-6)
-    assert np.linalg.norm(forward_kinematics(inverse_kinematics(x, geom), geom) - x) < 1e-9
+    assert np.linalg.norm(fk(inverse_kinematics(x, geom), geom) - x) < 1e-9

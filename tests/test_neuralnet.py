@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import adam_step, init_adam_state
 from ikann.errors import NonFiniteLoss
-from ikann.neuralnet import (Gradients, NetworkParams,
-                             TrainingConfig, adam_step, backward, forward,
-                             init_adam_state, init_params, loss, predict,
-                             split_dataset, split_sizes, train, train_lockstep,
-                             train_many)
+from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
+                             backward, init_params, loss, predict,
+                             split_dataset, split_sizes, train, train_lockstep)
 from ikann.sampler import generate_grid, normalize_input
 
 
@@ -47,22 +46,13 @@ def test_params_validation():
 def test_forward_dead_network_passes_bias():
     p = NetworkParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                       w2=np.zeros((3, 4)), b2=np.array([1.0, -2.0, 3.0]))
-    np.testing.assert_array_equal(forward(p, [0.3, 0.5, 0.7]), [1.0, -2.0, 3.0])
+    np.testing.assert_array_equal(predict(p, [0.3, 0.5, 0.7]), [[1.0, -2.0, 3.0]])
 
 
 def test_forward_relu_clamps():
     p = one_unit_net()
-    np.testing.assert_array_equal(forward(p, [-1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(forward(p, [0.5, 0.0, 0.0]), [1.0, 0.0, 0.0])
-
-
-def test_predict_matches_forward():
-    p = init_params(8, 9)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0, 1, (40, 3))
-    batch = predict(p, x)
-    single = np.array([forward(p, xi) for xi in x])
-    np.testing.assert_allclose(batch, single, atol=1e-12)
+    np.testing.assert_array_equal(predict(p, [[-1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+                                  [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 # --- loss -------------------------------------------------------------------
@@ -116,6 +106,8 @@ def test_gradient_check_vs_finite_differences():
 
 
 # --- adam -------------------------------------------------------------------
+# adam_step, the one-model oracle in conftest, pinned by hand values and then
+# compared with the stacked kernel epoch
 
 def _scalar_net(value=0.0):
     return NetworkParams(w1=np.array([[value, 0.0, 0.0]]), b1=np.zeros(1),
@@ -155,7 +147,8 @@ def test_adam_constant_gradient_nonincreasing_step():
 
 
 def test_adam_epoch_matches_kernel(k3_dataset):
-    """One epoch through the public ops equals the stacked kernel epoch at S = 1."""
+    """One epoch of backward + the adam_step oracle equals the stacked kernel
+    epoch at S = 1."""
     from ikann import _kernels
     ds = k3_dataset
     cfg = TrainingConfig(seed=3)
@@ -192,20 +185,21 @@ def test_split_sizes_n125(box):
     cfg = TrainingConfig(seed=1)
     split = split_dataset(ds, cfg, 1)
     # round-half-up of 6.25 is 6
-    assert split.sizes() == (113, 6, 6)
+    assert (len(split.train), len(split.val), len(split.test)) == (113, 6, 6)
 
 
 def test_split_sizes_n8(box):
     ds = generate_grid(box, 2)
     split = split_dataset(ds, TrainingConfig(seed=1), 1)
-    assert split.sizes() == (6, 1, 1)
+    assert (len(split.train), len(split.val), len(split.test)) == (6, 1, 1)
 
 
 def test_split_sizes_match_split(box):
     for k in (2, 3, 5):
         ds = generate_grid(box, k)
         cfg = TrainingConfig(seed=1)
-        assert split_sizes(ds.n, cfg) == split_dataset(ds, cfg, 1).sizes()
+        split = split_dataset(ds, cfg, 1)
+        assert split_sizes(ds.n, cfg) == (len(split.train), len(split.val), len(split.test))
     with pytest.raises(ValueError):
         split_sizes(2, TrainingConfig(val_fraction=0.4, test_fraction=0.4))
 
@@ -269,7 +263,7 @@ def test_train_many_matches_train_alone(box):
     # 25 training rows end every epoch on a one-row batch
     ds = generate_grid(box, 3)
     cfgs = [TrainingConfig(seed=s) for s in range(1, 6)]
-    many = train_many(ds, cfgs)
+    many = train_lockstep([(ds, cfg) for cfg in cfgs])
     assert len({t.epochs_run for _, t in many}) > 1
     for cfg, got in zip(cfgs, many):
         assert_same_training(got, train(ds, cfg))
@@ -278,7 +272,7 @@ def test_train_many_matches_train_alone(box):
 def test_train_many_without_early_stopping(box):
     ds = generate_grid(box, 2)
     cfgs = [TrainingConfig(seed=s, max_epochs=30, early_stopping=False) for s in (4, 9)]
-    for cfg, got in zip(cfgs, train_many(ds, cfgs)):
+    for cfg, got in zip(cfgs, train_lockstep([(ds, cfg) for cfg in cfgs])):
         assert got[1].epochs_run == 30
         assert_same_training(got, train(ds, cfg))
 
@@ -318,9 +312,9 @@ def test_train_lockstep_mixed_sizes_match_train_alone(box):
 def test_train_many_rejects_mixed_configs(box):
     ds = generate_grid(box, 2)
     with pytest.raises(ValueError):
-        train_many(ds, [])
+        train_lockstep([])
     with pytest.raises(ValueError):
-        train_many(ds, [TrainingConfig(seed=1), TrainingConfig(seed=2, hidden=8)])
+        train_lockstep([(ds, TrainingConfig(seed=1)), (ds, TrainingConfig(seed=2, hidden=8))])
     with pytest.raises(ValueError):
         train_lockstep([(ds, TrainingConfig(seed=1)),
                         (generate_grid(box, 3), TrainingConfig(seed=1, max_epochs=7))])
@@ -344,8 +338,8 @@ def test_piecewise_linearity(trained_k3):
         masks = [(params.w1 @ v + params.b1) > 0 for v in (a, mid, b)]
         if not (np.array_equal(masks[0], masks[1]) and np.array_equal(masks[1], masks[2])):
             continue
-        interp = 0.5 * (forward(params, a) + forward(params, b))
-        assert np.max(np.abs(forward(params, mid) - interp)) < 1e-12
+        out_a, out_mid, out_b = predict(params, [a, mid, b])
+        assert np.max(np.abs(out_mid - 0.5 * (out_a + out_b))) < 1e-12
         checked += 1
 
 

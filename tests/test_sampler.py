@@ -1,17 +1,20 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from ikann.errors import NotACube, UnreachableGridPoint
-from ikann.kinematics import forward_kinematics_batch
-from ikann.sampler import (WorkspaceBox, denormalize_input, generate_grid,
-                           half_spacing_normalized, normalize_input, spacing_mm)
+from ikann.errors import NotACube, UnreachableGridPoint, UnreachableTarget
+from ikann.kinematics import RobotGeometry, forward_kinematics_batch, inverse_kinematics
+from ikann.sampler import (WorkspaceBox, generate_grid, half_spacing_normalized,
+                           normalize_input, spacing_mm)
 
 
 def test_grid_k2_is_box_corners(box, geom):
     ds = generate_grid(box, 2, geom)
     assert ds.n == 8
     got = sorted(map(tuple, ds.points))
-    want = sorted(map(tuple, box.corners()))
+    want = sorted(itertools.product(*zip(box.lo, box.hi)))
     assert got == want
 
 
@@ -30,6 +33,29 @@ def test_grid_unreachable_point(geom):
     bad = WorkspaceBox(lo=np.array([250.0, 250.0, 250.0]), hi=np.array([310.0, 310.0, 310.0]))
     with pytest.raises(UnreachableGridPoint):
         generate_grid(bad, 2, geom)
+
+
+def test_grid_inner_band_builds():
+    # l2 = 70, l3 = 50: the inner sphere has radius 20 about the shoulder
+    # (0, 0, 70), and the corner lo lies 5e-11 mm inside it, within IK's
+    # rounding tolerance
+    geom = RobotGeometry(l1=70.0, l2=70.0, l3=50.0)
+    box = WorkspaceBox(lo=np.array([20.0 - 5e-11, 0.0, 70.0]), hi=np.array([30.0, 10.0, 80.0]))
+    ds = generate_grid(box, 2, geom)
+    err = np.linalg.norm(forward_kinematics_batch(ds.angles, geom) - ds.points, axis=1)
+    assert err.max() < 1e-9
+
+
+def test_grid_and_ik_agree_on_outer_sphere(geom):
+    # 5.25e-11 mm beyond the outer sphere; grid point 4 of this box
+    p = (140.0 + 5.25e-11, 0.0, 70.0)
+    with pytest.raises(UnreachableTarget):
+        inverse_kinematics(p, geom)
+    box = WorkspaceBox(lo=np.array([130.0, 0.0, 70.0]), hi=np.array([p[0], 10.0, 80.0]))
+    with pytest.raises(UnreachableGridPoint) as exc:
+        generate_grid(box, 2, geom)
+    assert exc.value.index == 4
+    assert tuple(exc.value.point) == p
 
 
 def test_grid_labels_roundtrip(box, geom):
@@ -61,13 +87,6 @@ def test_normalize_outside_box_linear(box):
     np.testing.assert_allclose(u, [2.0, 2.0, 2.0])
 
 
-def test_denormalize_is_inverse(box):
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-50, 150, size=(200, 3))
-    back = denormalize_input(normalize_input(pts, box), box)
-    np.testing.assert_allclose(back, pts, rtol=0, atol=1e-10)
-
-
 @pytest.mark.parametrize("n, expected", [(8, 0.5), (27, 0.25), (125, 0.125)])
 def test_half_spacing_examples(n, expected):
     assert half_spacing_normalized(n) == expected
@@ -95,3 +114,8 @@ def test_box_validation():
         WorkspaceBox(lo=np.array([0.0, 0.0, 0.0]), hi=np.array([10.0, 10.0, 0.0]))
     with pytest.raises(ValueError):
         WorkspaceBox(lo=np.zeros(2), hi=np.ones(2))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            WorkspaceBox(lo=np.array([0.0, -bad, 0.0]), hi=np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            WorkspaceBox(lo=np.zeros(3), hi=np.array([1.0, 1.0, bad]))

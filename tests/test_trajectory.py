@@ -3,9 +3,8 @@ import pytest
 
 from ikann.kinematics import inverse_kinematics
 from ikann.trajectory import (PathOutsideBoxWarning, TrajectorySpec,
-                              error_to_spacing, evaluate_tracking,
-                              exact_ik_model, make_heart_path,
-                              make_rectangle_path)
+                              evaluate_tracking, exact_ik_model,
+                              make_heart_path, make_rectangle_path)
 
 
 # --- rectangle path ---------------------------------------------------------
@@ -110,13 +109,3 @@ def test_outside_box_points_warn(box, geom):
                           points=np.array([[50.0, 50.0, 30.0], [90.0, 90.0, 30.0]]))
     with pytest.warns(PathOutsideBoxWarning):
         evaluate_tracking(exact_ik_model(geom), traj, geom, box)
-
-
-# --- ratio ------------------------------------------------------------------
-
-def test_error_to_spacing_examples():
-    assert error_to_spacing(2.17, 15.0) == pytest.approx(0.1447, abs=5e-5)
-    assert error_to_spacing(19.31, 60.0) == pytest.approx(0.3218, abs=5e-5)
-    assert error_to_spacing(0.0, 12.0) == 0.0
-    with pytest.raises(ValueError):
-        error_to_spacing(1.0, 0.0)
