@@ -15,7 +15,7 @@ Two derivative bounds are kept side by side:
 The Lipschitz constant is sqrt(3) times the infinity-norm bound (3 input
 dimensions). The sample-count estimate for a k^3 grid normalized to [0, 1]^3
 evaluates (27*w_bar^2 + 1) / (4*(cuberoot(n) - 1)^2); rescaling to mm
-multiplies by a calibration span (mean box span by default, overridable).
+multiplies by the mean box span, a calibration constant.
 """
 
 from __future__ import annotations
@@ -76,18 +76,16 @@ def sample_bound(n: int, w_bar: float) -> float:
     return (27.0 * w_bar * w_bar + 1.0) / (4.0 * (k - 1) ** 2)
 
 
-def rescale_to_mm(bound_normalized: float, box: WorkspaceBox,
-                  scale_mm: float | None = None) -> float:
-    """Linear rescale of the normalized estimate into mm. The factor defaults
-    to the mean per-axis span of the box; it is a calibration constant, not a
+def rescale_to_mm(bound_normalized: float, box: WorkspaceBox) -> float:
+    """Linear rescale of the normalized estimate into mm. The factor is the
+    mean per-axis span of the box; it is a calibration constant, not a
     derived quantity."""
-    factor = float(np.mean(box.span)) if scale_mm is None else float(scale_mm)
-    return bound_normalized * factor
+    return bound_normalized * float(np.mean(box.span))
 
 
-def check_weight_range(p: NetworkParams) -> float:
+def check_weight_range(p: NetworkParams):
     """Warn (WeightRangeWarning) when any weight magnitude leaves the expected
-    range; returns the largest magnitude seen."""
+    range."""
     biggest = max(float(np.max(np.abs(p.w1))), float(np.max(np.abs(p.w2))))
     if biggest > WEIGHT_RANGE_LIMIT:
         warnings.warn(
@@ -97,11 +95,9 @@ def check_weight_range(p: NetworkParams) -> float:
             WeightRangeWarning,
             stacklevel=2,
         )
-    return biggest
 
 
-def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox,
-                         scale_mm: float | None = None) -> BoundReport:
+def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox) -> BoundReport:
     """Assemble every bound quantity for a trained model and sample count."""
     check_weight_range(p)
     w_bar = mean_abs_output_weight(p)
@@ -112,6 +108,6 @@ def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox,
         n=n,
         half_spacing=half_spacing_normalized(n),
         bound_normalized=normalized,
-        e_est_mm=rescale_to_mm(normalized, box, scale_mm),
-        rescale_factor_mm=rescale_to_mm(1.0, box, scale_mm),
+        e_est_mm=rescale_to_mm(normalized, box),
+        rescale_factor_mm=rescale_to_mm(1.0, box),
     )

@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a k^3 grid")
     p.add_argument("--samples-per-axis", type=int, required=True, metavar="K")
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--hidden", type=int, default=TrainingConfig.hidden)
+    p.add_argument("--epochs", type=int, default=TrainingConfig.max_epochs)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--out", required=True, metavar="MODEL.json")
 
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="print the bound report for a model as JSON")
     p.add_argument("--model", required=True)
-    p.add_argument("--bound-scale-mm", type=float, default=None)
 
     p = sub.add_parser("sweep", help="run the samples-per-axis sweep")
     p.add_argument("--axis-counts", default="2,3,4,5,6,7,8", metavar="K1,K2,...")
@@ -126,7 +125,7 @@ def _cmd_bound(args, box_override):
     if type(k) is not int or k < 1:
         raise ValueError(f"{args.model}: model metadata lacks a positive integer "
                          "samples_per_axis; cannot size the bound")
-    report = compute_bound_report(saved.params, k ** 3, box, args.bound_scale_mm)
+    report = compute_bound_report(saved.params, k ** 3, box)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 

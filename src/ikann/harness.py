@@ -10,6 +10,7 @@ Rows are emitted sorted by (k, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -40,6 +41,14 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
+
+
+def _write_csv(path, header: str, rows):
+    """Write the header line and one line per row, each value as
+    :func:`_fmt` text."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -112,9 +121,6 @@ class SweepRow:
         norm = bound_mod.sample_bound(self.n, self.w_bar)
         if not (math.isfinite(self.est_bound_mm) and self.est_bound_mm >= 0.0 and norm > 0.0):
             raise ValueError("est_bound_mm must be a finite nonnegative rescale of the bound")
-
-    def to_csv_line(self) -> str:
-        return ",".join(_fmt(v) for v in astuple(self))
 
     @classmethod
     def from_csv_fields(cls, values: list) -> "SweepRow":
@@ -189,36 +195,34 @@ def run_experiment(k: int, seed: int, cfg: HarnessConfig = HarnessConfig()) -> S
 
 def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
               keep_models: bool = False) -> SweepResult:
-    """Run every (k, seed) combination; failed cells become marker rows and the
-    sweep continues. Rows come back sorted by (k, seed)."""
-    ks = sorted(operator.index(k) for k in ks)
-    seeds = sorted(operator.index(s) for s in seeds)
+    """Run every distinct (k, seed) combination once; failed cells become
+    marker rows and the sweep continues. Rows come back sorted by (k, seed)."""
+    ks = sorted({operator.index(k) for k in ks})
+    seeds = sorted({operator.index(s) for s in seeds})
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
     _check_ks(ks)
     # one grid per k; a grid that cannot be built fails every seed of its k
     grids = {}
-    for k in sorted(set(ks)):
+    for k in ks:
         try:
             grids[k] = generate_grid(cfg.box, k, cfg.geom)
         except IkannError as exc:
             grids[k] = exc
-    cells = [(k, s) for k in sorted(grids) for s in sorted(set(seeds))]
+    cells = [(k, s) for k in ks for s in seeds]
     ready = [(k, s) for k, s in cells if isinstance(grids[k], TrainingSet)]
     # every cell that has a grid trains in one stack; a diverged model fails
     # only its own cell
     jobs = [(grids[k], replace(cfg.training, seed=s)) for k, s in ready]
     trained = dict(zip(ready, train_lockstep(jobs) if jobs else []))
-    by_cell, models, traces = {}, {}, {}
+    rows, models, traces = [], {}, {}
     for k, s in cells:
         t = trained.get((k, s), grids[k])   # or the exception of a grid not built
         if isinstance(t, Exception):
-            by_cell[(k, s)] = _failed_row(k, s, t)
+            rows.append(_failed_row(k, s, t))
         else:
-            by_cell[(k, s)] = _finish_cell(k, s, grids[k], cfg, *t)
+            rows.append(_finish_cell(k, s, grids[k], cfg, *t))
             models[(k, s)], traces[(k, s)] = t
-
-    rows = [by_cell[(k, s)] for k in ks for s in seeds]
     return SweepResult(rows=rows, summary=summarize(rows),
                        models=models if keep_models else None, traces=traces)
 
@@ -274,10 +278,7 @@ def summarize(rows) -> SweepSummary:
 
 def emit_report(rows, summary: SweepSummary, path, json_path=None, metadata: dict | None = None):
     """Write the sweep CSV (and optional JSON mirror with summary/metadata)."""
-    lines = [",".join(REPORT_COLUMNS)]
-    lines += [r.to_csv_line() for r in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, ",".join(REPORT_COLUMNS), map(astuple, rows))
     if json_path:
         doc = {
             "meta": metadata or {},
@@ -306,11 +307,8 @@ def load_report(path) -> list:
 
 
 def write_training_curve(trace: TrainingTrace, path):
-    lines = ["epoch,train_loss,val_loss"]
-    for i, (tl, vl) in enumerate(zip(trace.train_loss, trace.val_loss), start=1):
-        lines.append(f"{i},{_fmt(tl)},{_fmt(vl)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, "epoch,train_loss,val_loss",
+               zip(itertools.count(1), trace.train_loss, trace.val_loss))
 
 
 def _json_17g(obj) -> str:
@@ -339,13 +337,8 @@ def _json_17g(obj) -> str:
 @dataclass(frozen=True)
 class SavedModel:
     params: NetworkParams
-    input_min: np.ndarray
-    input_max: np.ndarray
+    box: WorkspaceBox
     meta: dict
-
-    @property
-    def box(self) -> WorkspaceBox:
-        return WorkspaceBox(lo=self.input_min, hi=self.input_max)
 
 
 def save_model(params: NetworkParams, path, box: WorkspaceBox, meta: dict | None = None):
@@ -392,19 +385,14 @@ def load_model(path) -> SavedModel:
             raise ValueError(f"{path}: key {key!r} is not an array of numbers") from None
     try:
         params = NetworkParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
-        WorkspaceBox(lo=arrays["input_min"], hi=arrays["input_max"])
+        box = WorkspaceBox(lo=arrays["input_min"], hi=arrays["input_max"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return SavedModel(params=params, input_min=arrays["input_min"],
-                      input_max=arrays["input_max"], meta=meta)
+    return SavedModel(params=params, box=box, meta=meta)
 
 
 def export_dataset(ds: TrainingSet, path):
-    lines = [DATASET_HEADER]
-    for p, q in zip(ds.points, ds.angles):
-        lines.append(",".join(_fmt(float(v)) for v in (*p, *q)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, DATASET_HEADER, np.hstack([ds.points, ds.angles]).tolist())
 
 
 def import_dataset(path):
@@ -422,11 +410,8 @@ def import_dataset(path):
 def export_trajectory(traj: TrajectorySpec, model, geom: RobotGeometry,
                       box: WorkspaceBox, path) -> EvalReport:
     """Write per-point reference/prediction/error CSV; returns the EvalReport."""
-    _, x_hat, err = tracking_details(model, traj, geom, box)
-    lines = [TRAJECTORY_HEADER]
-    for i, (ref, pred, e) in enumerate(zip(traj.points, x_hat, err)):
-        vals = [i, *(float(v) for v in ref), *(float(v) for v in pred), float(e)]
-        lines.append(",".join(_fmt(v) for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    x_hat, err = tracking_details(model, traj, geom, box)
+    _write_csv(path, TRAJECTORY_HEADER,
+               ([i, *ref, *pred, e] for i, (ref, pred, e)
+                in enumerate(zip(traj.points.tolist(), x_hat.tolist(), err.tolist()))))
     return EvalReport.from_errors(err)

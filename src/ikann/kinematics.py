@@ -42,8 +42,9 @@ class RobotGeometry:
     elbow_branch: str = ELBOW_A
 
     def __post_init__(self):
-        if min(self.l1, self.l2, self.l3) <= 0:
-            raise ValueError("link lengths must be positive")
+        # written so that NaN fails too
+        if not all(0.0 < v < math.inf for v in (self.l1, self.l2, self.l3)):
+            raise ValueError("link lengths must be positive and finite")
         if self.elbow_branch not in (ELBOW_A, ELBOW_B):
             raise ValueError(f"elbow_branch must be {ELBOW_A!r} or {ELBOW_B!r}")
 

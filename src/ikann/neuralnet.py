@@ -45,9 +45,6 @@ class NetworkParams:
     def hidden(self) -> int:
         return self.w1.shape[0]
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -77,13 +74,6 @@ class TrainingTrace:
     val_loss: list = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
-
-
-@dataclass(frozen=True)
-class SplitIndices:
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
 
 
 @dataclass
@@ -123,15 +113,9 @@ def predict(p: NetworkParams, x_norm: np.ndarray) -> np.ndarray:
     return _kernels.forward(*_kernels.unpack(_flat_row(p), p.hidden), x)
 
 
-def loss(p: NetworkParams, x_norm: np.ndarray, q_target: np.ndarray) -> float:
-    """MSE over the batch and over the 3 output components, in rad^2."""
-    x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
-    y = np.ascontiguousarray(np.atleast_2d(np.asarray(q_target, dtype=float)))
-    return float(_kernels.mse(*_kernels.unpack(_flat_row(p), p.hidden), x, y))
-
-
 def backward(p: NetworkParams, x_norm: np.ndarray, q_target: np.ndarray) -> Gradients:
-    """Exact gradient of :func:`loss` for the batch (ReLU subgradient at 0 is 0)."""
+    """Exact gradient of the batch MSE, the mean over the samples and the 3
+    output components in rad^2 (ReLU subgradient at 0 is 0)."""
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x_norm, dtype=float)))
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(q_target, dtype=float)))
     _, g = _kernels.gradients(*_kernels.unpack(_flat_row(p)[None], p.hidden), x[None], y[None])
@@ -161,14 +145,12 @@ def split_sizes(n: int, cfg: TrainingConfig) -> tuple:
     return n - n_val - n_test, n_val, n_test
 
 
-def split_dataset(ds: TrainingSet, cfg: TrainingConfig, seed: int) -> SplitIndices:
-    """Seeded shuffle split into train/val/test index sets of
-    :func:`split_sizes`."""
+def split_dataset(ds: TrainingSet, cfg: TrainingConfig) -> tuple:
+    """Shuffle split seeded by ``cfg.seed``: sorted (train, val) index arrays
+    of :func:`split_sizes`. The test share is held out of both."""
     _, n_val, n_test = split_sizes(ds.n, cfg)
-    perm = np.random.default_rng([seed, 1]).permutation(ds.n)
-    return SplitIndices(train=np.sort(perm[n_val + n_test:]),
-                        val=np.sort(perm[:n_val]),
-                        test=np.sort(perm[n_val:n_val + n_test]))
+    perm = np.random.default_rng([cfg.seed, 1]).permutation(ds.n)
+    return np.sort(perm[n_val + n_test:]), np.sort(perm[:n_val])
 
 
 def _bias_corrections(beta, epoch, per_epoch):
@@ -229,9 +211,9 @@ def train_lockstep(jobs) -> list:
             xs.append(normalize_input(ds.points, ds.box))
             ys.append(ds.angles)
     x_all, y_all = np.concatenate(xs), np.concatenate(ys)
-    splits = [split_dataset(ds, c, c.seed) for ds, c in jobs]
-    train_idx = [s.train + offsets[id(ds)] for s, (ds, _) in zip(splits, jobs)]
-    val_idx = [s.val + offsets[id(ds)] for s, (ds, _) in zip(splits, jobs)]
+    splits = [split_dataset(ds, c) for ds, c in jobs]
+    train_idx = [t + offsets[id(ds)] for (t, _), (ds, _) in zip(splits, jobs)]
+    val_idx = [v + offsets[id(ds)] for (_, v), (ds, _) in zip(splits, jobs)]
     n_train = np.array([len(t) for t in train_idx])
     n_val = np.array([len(t) for t in val_idx])
 

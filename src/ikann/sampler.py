@@ -58,7 +58,6 @@ DEFAULT_BOX = WorkspaceBox(lo=np.array([20.0, 20.0, 0.0]), hi=np.array([80.0, 80
 class TrainingSet:
     """Grid dataset: n = k^3 Cartesian points (mm) with joint labels (rad)."""
 
-    k: int
     points: np.ndarray
     angles: np.ndarray
     box: WorkspaceBox
@@ -91,7 +90,7 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
     worst = float(residual.max())
     if worst >= _LABEL_TOL_MM:
         raise RuntimeError(f"IK labelling failed round-trip check ({worst:.3g} mm)")
-    return TrainingSet(k=k, points=points, angles=angles, box=box)
+    return TrainingSet(points=points, angles=angles, box=box)
 
 
 def normalize_input(x, box: WorkspaceBox) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A model proposes joint angles for each reference point; forward kinematics
 maps them back to Cartesian space and the per-point Euclidean miss in mm is
-the tracking error.
+the tracking error. The two reference paths, a rectangle pair inset in the
+workspace box and a heart, are drawn from fixed constants, which each path
+lists in its ``params`` for the report metadata.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class PathOutsideBoxWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    kind: str
     points: np.ndarray
     params: dict = field(default_factory=dict)
 
@@ -39,7 +40,6 @@ class TrajectorySpec:
 
 @dataclass(frozen=True)
 class EvalReport:
-    per_point_error_mm: np.ndarray
     mean_mm: float
     std_mm: float
     max_mm: float
@@ -48,23 +48,18 @@ class EvalReport:
     @classmethod
     def from_errors(cls, err: np.ndarray) -> "EvalReport":
         """Aggregate per-point tracking errors in mm."""
-        return cls(per_point_error_mm=err, mean_mm=float(err.mean()),
-                   std_mm=float(err.std()), max_mm=float(err.max()),
-                   n_points=len(err))
+        return cls(mean_mm=float(err.mean()), std_mm=float(err.std()),
+                   max_mm=float(err.max()), n_points=len(err))
 
 
-def make_rectangle_path(box: WorkspaceBox, z_low: float = 10.0, z_high: float = 50.0,
-                        margin: float = 10.0, points_per_edge: int = 26) -> TrajectorySpec:
-    """Two axis-aligned rectangles in the x1-x2 plane, inset by ``margin`` from
-    the box walls, drawn at heights z_low and z_high.
+def make_rectangle_path(box: WorkspaceBox) -> TrajectorySpec:
+    """Two axis-aligned rectangles in the x1-x2 plane, inset by a 10 mm margin
+    from the box walls, drawn at heights z_low = 10 and z_high = 50 mm.
 
-    Each edge carries ``points_per_edge`` uniform samples with shared corners
-    counted once, so the total is 2*4*(points_per_edge - 1) points.
+    Each edge carries 26 uniform samples with shared corners counted once, so
+    the total is 2*4*(26 - 1) = 200 points.
     """
-    if points_per_edge < 2:
-        raise ValueError("points_per_edge must be >= 2")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    z_low, z_high, margin, points_per_edge = 10.0, 50.0, 10.0, 26
     x1a, x1b = box.lo[0] + margin, box.hi[0] - margin
     x2a, x2b = box.lo[1] + margin, box.hi[1] - margin
     if not (x1a < x1b and x2a < x2b):
@@ -83,30 +78,28 @@ def make_rectangle_path(box: WorkspaceBox, z_low: float = 10.0, z_high: float = 
         np.column_stack([ring, np.full(len(ring), z_low)]),
         np.column_stack([ring, np.full(len(ring), z_high)]),
     ])
-    return TrajectorySpec(kind=RECTANGLE, points=pts, params={
+    return TrajectorySpec(points=pts, params={
         "z_low": z_low, "z_high": z_high, "margin": margin,
         "points_per_edge": points_per_edge,
     })
 
 
-def make_heart_path(center=(50.0, 50.0), scale: float = 25.0, z: float = 30.0,
-                    n_points: int = 200) -> TrajectorySpec:
-    """Classic parametric heart in the x1-x2 plane at height ``z``:
+def make_heart_path() -> TrajectorySpec:
+    """Classic parametric heart in the x1-x2 plane at height z = 30 mm:
 
         x1(t) = cx + scale * 16 sin^3(t) / 16
         x2(t) = cy + scale * (13 cos t - 5 cos 2t - 2 cos 3t - cos 4t) / 16
 
-    with t uniform on [0, 2*pi).
+    with center (cx, cy) = (50, 50) mm, scale 25 mm and n_points = 200 values
+    of t uniform on [0, 2*pi).
     """
-    if n_points < 8:
-        raise ValueError("n_points must be >= 8")
-    cx, cy = float(center[0]), float(center[1])
+    (cx, cy), scale, z, n_points = (50.0, 50.0), 25.0, 30.0, 200
     t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     x1 = cx + scale * 16.0 * np.sin(t) ** 3 / 16.0
     x2 = cy + scale * (13.0 * np.cos(t) - 5.0 * np.cos(2 * t)
                        - 2.0 * np.cos(3 * t) - np.cos(4 * t)) / 16.0
-    pts = np.column_stack([x1, x2, np.full(n_points, float(z))])
-    return TrajectorySpec(kind=HEART, points=pts, params={
+    pts = np.column_stack([x1, x2, np.full(n_points, z)])
+    return TrajectorySpec(points=pts, params={
         "center": (cx, cy), "scale": scale, "z": z, "n_points": n_points,
     })
 
@@ -121,7 +114,7 @@ def exact_ik_model(geom: RobotGeometry = DEFAULT_GEOMETRY):
 
 
 def tracking_details(model, traj: TrajectorySpec, geom: RobotGeometry, box: WorkspaceBox):
-    """Per-point tracking data: (joint predictions, replayed positions, errors).
+    """Per-point tracking data: (replayed positions, errors in mm).
 
     ``model`` is either trained NetworkParams (inputs get box-normalized) or a
     callable taking raw mm points and returning joint angles.
@@ -137,7 +130,7 @@ def tracking_details(model, traj: TrajectorySpec, geom: RobotGeometry, box: Work
         q_hat = np.asarray(model(pts), dtype=float)
     x_hat = forward_kinematics_batch(q_hat, geom)
     err = np.linalg.norm(pts - x_hat, axis=1)
-    return q_hat, x_hat, err
+    return x_hat, err
 
 
 def evaluate_tracking(model, traj: TrajectorySpec,
@@ -145,5 +138,5 @@ def evaluate_tracking(model, traj: TrajectorySpec,
                       box: WorkspaceBox = DEFAULT_BOX) -> EvalReport:
     """Run the reference path through the model and FK replay; aggregate the
     per-point Euclidean errors in mm."""
-    _, _, err = tracking_details(model, traj, geom, box)
+    _, err = tracking_details(model, traj, geom, box)
     return EvalReport.from_errors(err)

@@ -5,8 +5,16 @@ import pytest
 
 from ikann.kinematics import DEFAULT_GEOMETRY
 from ikann.neuralnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Gradients,
-                             NetworkParams, TrainingConfig, loss, train)
+                             NetworkParams, TrainingConfig, predict, train)
 from ikann.sampler import DEFAULT_BOX, generate_grid
+
+
+def loss(p, x_norm, q_target):
+    """MSE of the network output over the batch and over the 3 output
+    components, in rad^2, computed from ``predict``; the function that
+    ``fd_gradient`` differences."""
+    err = predict(p, x_norm) - np.atleast_2d(np.asarray(q_target, dtype=float))
+    return float(np.mean(err * err))
 
 
 def fd_gradient(p, x, y, h=1e-6):

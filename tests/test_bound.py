@@ -144,7 +144,6 @@ def test_ratio_law_general():
 def test_rescale_examples(box):
     assert rescale_to_mm(0.0, box) == 0.0
     assert rescale_to_mm(0.0625, box) == pytest.approx(3.75)
-    assert rescale_to_mm(0.5, box, scale_mm=10.0) == 5.0
 
 
 def test_rescale_ratio_preserved(box):

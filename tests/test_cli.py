@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ikann.cli import main
+from ikann.cli import _build_parser, main
 from ikann.harness import load_model
+from ikann.neuralnet import TrainingConfig
 
 
 def test_dataset_command(tmp_path, capsys):
@@ -42,11 +43,14 @@ def test_train_eval_bound_pipeline(tmp_path, capsys):
     assert report["half_spacing"] == 0.25
     assert report["gamma"] > 0
 
-    rc = main(["bound", "--model", str(model), "--bound-scale-mm", "10"])
-    assert rc == 0
-    report10 = json.loads(capsys.readouterr().out)
-    assert report10["rescale_factor_mm"] == 10.0
-    assert report10["e_est_mm"] == pytest.approx(report["e_est_mm"] / 6.0)
+    assert report["rescale_factor_mm"] == 60.0
+
+
+def test_train_defaults_are_the_training_config():
+    args = _build_parser().parse_args(["train", "--samples-per-axis", "2", "--out", "m.json"])
+    defaults = TrainingConfig()
+    assert (args.hidden, args.epochs, not args.no_early_stop) == \
+        (defaults.hidden, defaults.max_epochs, defaults.early_stopping)
 
 
 def test_train_no_early_stop(tmp_path, capsys):
@@ -151,6 +155,15 @@ def test_non_finite_box_exit_2(tmp_path, capsys, box):
                "--out", str(tmp_path / "g.csv")])
     assert rc == 2
     assert capsys.readouterr().err == "error: box bounds must be finite\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("links", ["70,70,inf", "70,nan,70", "-inf,70,70"])
+def test_non_finite_links_exit_2(tmp_path, capsys, links):
+    rc = main([f"--links={links}", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: link lengths must be positive and finite\n"
     assert not (tmp_path / "g.csv").exists()
 
 

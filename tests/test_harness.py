@@ -105,6 +105,15 @@ def test_run_sweep_shape_and_order():
     assert res.summary.ks == [2, 3]
 
 
+def test_run_sweep_repeated_cells_run_once():
+    # a repeated k or seed adds no row, so it cannot shrink the across-seed std
+    repeated = run_sweep([2, 2, 3], [1, 1, 2], QUICK)
+    distinct = run_sweep([3, 2], [2, 1], QUICK)
+    assert repeated.rows == distinct.rows
+    # alpha is NaN with two ks; assert_equal counts NaN equal to NaN
+    np.testing.assert_equal(asdict(repeated.summary), asdict(distinct.summary))
+
+
 def test_sweep_rows_match_run_experiment():
     # k = 3 has a one-row tail batch, and seeds 1..5 include two that stop
     # early while the others train on to max_epochs
@@ -303,7 +312,8 @@ def test_sweep_numpy_integers_reported_as_ints(tmp_path):
 
 def test_report_row_field_count_checked(tmp_path):
     path = tmp_path / "r.csv"
-    line = synthetic_row(3, 1, 5.0).to_csv_line()
+    emit_report([synthetic_row(3, 1, 5.0)], None, path)
+    line = path.read_text().splitlines()[1]
     for bad in (line.rsplit(",", 1)[0], line + ",extra"):
         path.write_text(",".join(REPORT_COLUMNS) + f"\n{bad}\n")
         with pytest.raises(ValueError, match="report fields"):
@@ -327,8 +337,8 @@ def test_model_roundtrip_bitwise(tmp_path, box):
     assert np.array_equal(saved.params.b1, p.b1)
     assert np.array_equal(saved.params.w2, p.w2)
     assert np.array_equal(saved.params.b2, p.b2)
-    np.testing.assert_array_equal(saved.input_min, box.lo)
-    np.testing.assert_array_equal(saved.input_max, box.hi)
+    np.testing.assert_array_equal(saved.box.lo, box.lo)
+    np.testing.assert_array_equal(saved.box.hi, box.hi)
     assert saved.meta["samples_per_axis"] == 4
 
     doc = json.loads(path.read_text())
@@ -371,7 +381,7 @@ def test_model_roundtrip_bitwise_property(tmp_path_factory, model):
     saved = load_model(path)
     for name in ("w1", "b1", "w2", "b2"):
         assert same_bits(getattr(saved.params, name), getattr(params, name)), name
-    assert same_bits(saved.input_min, box.lo) and same_bits(saved.input_max, box.hi)
+    assert same_bits(saved.box.lo, box.lo) and same_bits(saved.box.hi, box.hi)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -423,7 +433,7 @@ def test_dataset_roundtrip(tmp_path, box, geom):
 
 def test_trajectory_export(tmp_path, box, geom, trained_k3):
     params, _ = trained_k3
-    traj = make_rectangle_path(box, points_per_edge=3)
+    traj = make_rectangle_path(box)
     path = tmp_path / "traj.csv"
     rep = export_trajectory(traj, params, geom, box, path)
     lines = path.read_text().splitlines()

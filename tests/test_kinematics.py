@@ -125,8 +125,10 @@ def test_continuity_probe(box, geom):
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        RobotGeometry(l1=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for links in ((bad, 70.0, 70.0), (70.0, bad, 70.0), (70.0, 70.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                RobotGeometry(*links)
     with pytest.raises(ValueError):
         RobotGeometry(elbow_branch="C")
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adam_step, init_adam_state
+from conftest import adam_step, init_adam_state, loss
+from ikann import _kernels
 from ikann.errors import NonFiniteLoss
 from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
-                             backward, init_params, loss, predict,
+                             backward, init_params, predict,
                              split_dataset, split_sizes, train, train_lockstep)
 from ikann.sampler import generate_grid, normalize_input
 
@@ -57,17 +58,26 @@ def test_forward_relu_clamps():
 
 # --- loss -------------------------------------------------------------------
 
+def kernel_mse(p, x, y):
+    """The training loss, ``_kernels.mse``, of one model."""
+    theta = np.concatenate((p.w1.T.ravel(), p.b1, p.w2.T.ravel(), p.b2))
+    return float(_kernels.mse(*_kernels.unpack(theta, p.hidden),
+                              np.array(x, dtype=float), np.array(y, dtype=float)))
+
+
 def test_loss_examples():
+    # the training loss and the conftest oracle that fd_gradient differences
     p = one_unit_net()
-    # perfect prediction
-    assert loss(p, [[0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0]]) == 0.0
-    # off by (1,0,0): mean over 3 components
-    assert loss(p, [[0.5, 0.0, 0.0]], [[0.0, 0.0, 0.0]]) == pytest.approx(1.0 / 3.0)
-    # two samples, all component errors equal 2
     p0 = NetworkParams(w1=np.zeros((2, 3)), b1=np.zeros(2), w2=np.zeros((3, 2)), b2=np.zeros(3))
-    x = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
-    y = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
-    assert loss(p0, x, y) == pytest.approx(4.0)
+    for mse in (kernel_mse, loss):
+        # perfect prediction
+        assert mse(p, [[0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0]]) == 0.0
+        # off by (1,0,0): mean over 3 components
+        assert mse(p, [[0.5, 0.0, 0.0]], [[0.0, 0.0, 0.0]]) == pytest.approx(1.0 / 3.0)
+        # two samples, all component errors equal 2
+        x = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+        y = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
+        assert mse(p0, x, y) == pytest.approx(4.0)
 
 
 # --- backward ---------------------------------------------------------------
@@ -149,7 +159,6 @@ def test_adam_constant_gradient_nonincreasing_step():
 def test_adam_epoch_matches_kernel(k3_dataset):
     """One epoch of backward + the adam_step oracle equals the stacked kernel
     epoch at S = 1."""
-    from ikann import _kernels
     ds = k3_dataset
     cfg = TrainingConfig(seed=3)
     x = normalize_input(ds.points, ds.box)
@@ -183,23 +192,25 @@ def test_adam_epoch_matches_kernel(k3_dataset):
 def test_split_sizes_n125(box):
     ds = generate_grid(box, 5)
     cfg = TrainingConfig(seed=1)
-    split = split_dataset(ds, cfg, 1)
+    train_idx, val_idx = split_dataset(ds, cfg)
     # round-half-up of 6.25 is 6
-    assert (len(split.train), len(split.val), len(split.test)) == (113, 6, 6)
+    assert (len(train_idx), len(val_idx)) == (113, 6)
+    assert split_sizes(ds.n, cfg) == (113, 6, 6)
 
 
 def test_split_sizes_n8(box):
     ds = generate_grid(box, 2)
-    split = split_dataset(ds, TrainingConfig(seed=1), 1)
-    assert (len(split.train), len(split.val), len(split.test)) == (6, 1, 1)
+    train_idx, val_idx = split_dataset(ds, TrainingConfig(seed=1))
+    assert (len(train_idx), len(val_idx)) == (6, 1)
+    assert split_sizes(ds.n, TrainingConfig()) == (6, 1, 1)
 
 
 def test_split_sizes_match_split(box):
     for k in (2, 3, 5):
         ds = generate_grid(box, k)
         cfg = TrainingConfig(seed=1)
-        split = split_dataset(ds, cfg, 1)
-        assert split_sizes(ds.n, cfg) == (len(split.train), len(split.val), len(split.test))
+        train_idx, val_idx = split_dataset(ds, cfg)
+        assert split_sizes(ds.n, cfg)[:2] == (len(train_idx), len(val_idx))
     with pytest.raises(ValueError):
         split_sizes(2, TrainingConfig(val_fraction=0.4, test_fraction=0.4))
 
@@ -207,11 +218,14 @@ def test_split_sizes_match_split(box):
 def test_split_deterministic_and_disjoint(box):
     ds = generate_grid(box, 3)
     cfg = TrainingConfig(seed=9)
-    s1 = split_dataset(ds, cfg, 9)
-    s2 = split_dataset(ds, cfg, 9)
-    assert np.array_equal(s1.train, s2.train) and np.array_equal(s1.val, s2.val)
-    all_idx = np.concatenate([s1.train, s1.val, s1.test])
-    assert len(np.unique(all_idx)) == ds.n
+    t1, v1 = split_dataset(ds, cfg)
+    t2, v2 = split_dataset(ds, cfg)
+    assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
+    # the test share is held out of both
+    n_test = split_sizes(ds.n, cfg)[2]
+    assert len(np.unique(np.concatenate([t1, v1]))) == ds.n - n_test
+    t3, v3 = split_dataset(ds, TrainingConfig(seed=10))
+    assert not (np.array_equal(t1, t3) and np.array_equal(v1, v3))
 
 
 # --- train ------------------------------------------------------------------

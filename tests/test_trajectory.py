@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ikann.kinematics import inverse_kinematics
+from ikann.kinematics import forward_kinematics_batch, inverse_kinematics
+from ikann.neuralnet import predict
+from ikann.sampler import WorkspaceBox, normalize_input
 from ikann.trajectory import (PathOutsideBoxWarning, TrajectorySpec,
                               evaluate_tracking, exact_ik_model,
                               make_heart_path, make_rectangle_path)
@@ -9,12 +11,15 @@ from ikann.trajectory import (PathOutsideBoxWarning, TrajectorySpec,
 
 # --- rectangle path ---------------------------------------------------------
 
-def test_rectangle_minimal_is_corners(box):
-    traj = make_rectangle_path(box, points_per_edge=2)
-    assert traj.points.shape == (8, 3)
-    xy = {tuple(p[:2]) for p in traj.points}
-    assert xy == {(30.0, 30.0), (70.0, 30.0), (70.0, 70.0), (30.0, 70.0)}
-    assert {p[2] for p in traj.points} == {10.0, 50.0}
+def test_rectangle_corners(box):
+    # 25 points per edge: each rectangle opens its edges at ring indices
+    # 0, 25, 50 and 75, the low one at z = 10, the high one at z = 50
+    pts = make_rectangle_path(box).points
+    corners = [[30.0, 30.0], [70.0, 30.0], [70.0, 70.0], [30.0, 70.0]]
+    for start, z in ((0, 10.0), (100, 50.0)):
+        np.testing.assert_array_equal(pts[start + np.array([0, 25, 50, 75])],
+                                      [[*c, z] for c in corners])
+    assert set(pts[:100, 2]) == {10.0} and set(pts[100:, 2]) == {50.0}
 
 
 def test_rectangle_default_count(box):
@@ -23,35 +28,30 @@ def test_rectangle_default_count(box):
     assert len(np.unique(traj.points, axis=0)) == 200
 
 
-def test_rectangle_validation(box):
-    with pytest.raises(ValueError):
-        make_rectangle_path(box, points_per_edge=1)
-    with pytest.raises(ValueError):
-        make_rectangle_path(box, margin=40.0)
+def test_rectangle_validation():
+    # the 10 mm margin on each side leaves nothing of a box 20 mm wide
+    for hi in ([40.0, 80.0, 60.0], [80.0, 35.0, 60.0]):
+        with pytest.raises(ValueError, match="margin leaves no rectangle area"):
+            make_rectangle_path(WorkspaceBox(lo=np.array([20.0, 20.0, 0.0]), hi=np.array(hi)))
 
 
 # --- heart path -------------------------------------------------------------
 
 def test_heart_extremes():
-    traj = make_heart_path(center=(50.0, 50.0), scale=25.0, z=30.0, n_points=8)
+    traj = make_heart_path()
+    assert traj.points.shape == (200, 3)
     # t = 0 is the first sample: the top notch at cy + scale*5/16
     np.testing.assert_allclose(traj.points[0], [50.0, 50.0 + 25.0 * 5 / 16, 30.0], atol=1e-12)
     # t = pi is sample n/2: the bottom tip at cy - scale*17/16
-    np.testing.assert_allclose(traj.points[4], [50.0, 50.0 - 25.0 * 17 / 16, 30.0], atol=1e-12)
+    np.testing.assert_allclose(traj.points[100], [50.0, 50.0 - 25.0 * 17 / 16, 30.0], atol=1e-12)
 
 
 def test_heart_symmetry():
-    traj = make_heart_path(n_points=64)
-    pts = traj.points
+    pts = make_heart_path().points
     # t -> 2*pi - t mirrors x1 about the center and preserves x2
-    for i in range(1, 32):
-        np.testing.assert_allclose(pts[i, 0] - 50.0, -(pts[64 - i, 0] - 50.0), atol=1e-9)
-        np.testing.assert_allclose(pts[i, 1], pts[64 - i, 1], atol=1e-9)
-
-
-def test_heart_validation():
-    with pytest.raises(ValueError):
-        make_heart_path(n_points=4)
+    for i in range(1, 100):
+        np.testing.assert_allclose(pts[i, 0] - 50.0, -(pts[200 - i, 0] - 50.0), atol=1e-9)
+        np.testing.assert_allclose(pts[i, 1], pts[200 - i, 1], atol=1e-9)
 
 
 def test_default_paths_inside_box(box):
@@ -61,7 +61,7 @@ def test_default_paths_inside_box(box):
 
 def test_trajectory_spec_validation():
     with pytest.raises(ValueError):
-        TrajectorySpec(kind="custom", points=np.zeros((1, 3)))
+        TrajectorySpec(points=np.zeros((1, 3)))
 
 
 # --- tracking evaluation ----------------------------------------------------
@@ -95,8 +95,10 @@ def test_trained_model_reasonable_error(box, geom, trained_k3):
 
 def test_report_statistics_consistent(box, geom, trained_k3):
     params, _ = trained_k3
-    rep = evaluate_tracking(params, make_rectangle_path(box), geom, box)
-    err = rep.per_point_error_mm
+    traj = make_rectangle_path(box)
+    rep = evaluate_tracking(params, traj, geom, box)
+    q_hat = predict(params, normalize_input(traj.points, box))
+    err = np.linalg.norm(forward_kinematics_batch(q_hat, geom) - traj.points, axis=1)
     assert rep.mean_mm == pytest.approx(float(err.mean()), rel=1e-12)
     assert rep.std_mm == pytest.approx(float(err.std()), rel=1e-12)
     assert rep.max_mm == float(err.max())
@@ -105,7 +107,6 @@ def test_report_statistics_consistent(box, geom, trained_k3):
 
 def test_outside_box_points_warn(box, geom):
     # (90, 90, 30) is reachable but outside the training box
-    traj = TrajectorySpec(kind="custom",
-                          points=np.array([[50.0, 50.0, 30.0], [90.0, 90.0, 30.0]]))
+    traj = TrajectorySpec(points=np.array([[50.0, 50.0, 30.0], [90.0, 90.0, 30.0]]))
     with pytest.warns(PathOutsideBoxWarning):
         evaluate_tracking(exact_ik_model(geom), traj, geom, box)
