@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ def _cmd_bound(args, box_override):
 
 
 def _cmd_sweep(args, geom, box, seed):
-    ks = [int(v) for v in args.axis_counts.split(",")]
+    ks = sorted({int(v) for v in args.axis_counts.split(",")})   # the ks run_sweep runs
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     base = 1 if seed is None else seed
@@ -168,31 +169,38 @@ def _cmd_dataset(args, geom, box):
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        geom = _parse_links(args.links) if args.links else RobotGeometry()
-        box = _parse_box(args.box) if args.box else None
-        seed = args.seed if args.seed is not None else 42
+    with warnings.catch_warnings():
+        # one stderr line per warning, not the default two with package source
+        warnings.showwarning = _print_warning
+        try:
+            geom = _parse_links(args.links) if args.links else RobotGeometry()
+            box = _parse_box(args.box) if args.box else None
+            seed = args.seed if args.seed is not None else 42
 
-        if args.command == "train":
-            return _cmd_train(args, geom, box or DEFAULT_BOX, seed)
-        if args.command == "eval":
-            return _cmd_eval(args, geom, box)
-        if args.command == "bound":
-            return _cmd_bound(args, box)
-        if args.command == "sweep":
-            return _cmd_sweep(args, geom, box or DEFAULT_BOX, args.seed)
-        if args.command == "dataset":
-            return _cmd_dataset(args, geom, box or DEFAULT_BOX)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (UnreachableGridPoint, NonFiniteLoss) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, IkannError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            if args.command == "train":
+                return _cmd_train(args, geom, box or DEFAULT_BOX, seed)
+            if args.command == "eval":
+                return _cmd_eval(args, geom, box)
+            if args.command == "bound":
+                return _cmd_bound(args, box)
+            if args.command == "sweep":
+                return _cmd_sweep(args, geom, box or DEFAULT_BOX, args.seed)
+            if args.command == "dataset":
+                return _cmd_dataset(args, geom, box or DEFAULT_BOX)
+            raise ValueError(f"unknown command {args.command!r}")
+        except (UnreachableGridPoint, NonFiniteLoss) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except (ValueError, IkannError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

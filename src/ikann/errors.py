@@ -21,6 +21,9 @@ class UnreachableGridPoint(IkannError):
         self.point = point
         super().__init__(f"grid point {index} at {tuple(map(float, point))} mm is unreachable")
 
+    def __reduce__(self):   # unpickle through __init__'s own arguments
+        return type(self), (self.index, self.point)
+
 
 class NotACube(IkannError):
     """Sample count has no integer cube root."""

@@ -2,10 +2,11 @@
 convergence-rate fitting, and CSV/JSON persistence.
 
 Runs are deterministic per (k, seed, config). The sweep builds every k's grid
-once, first, and then trains all its cells as one lockstep stack
-(``neuralnet.train_lockstep``); a model trained in the stack computes exactly
-what it computes alone, so the rows never depend on how cells are grouped.
-Rows are emitted sorted by (k, seed).
+once, first, and then trains all its cells in one ``neuralnet.train_lockstep``
+call. That trains the largest k's cells in this process and, given two usable
+CPUs, the other cells at the same time in one forked child. A model computes
+exactly what it computes alone, in either process, so the rows never depend
+on how cells are grouped. Rows are emitted sorted by (k, seed).
 """
 
 from __future__ import annotations

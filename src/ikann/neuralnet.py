@@ -4,12 +4,17 @@ early stopping on validation loss.
 
 All arithmetic is float64. Given identical dataset, config, and seed the
 trained parameters are bitwise reproducible, whether a model is trained alone
-or in lockstep with others.
+or in lockstep with others, and in whichever process it trains.
+:func:`train_lockstep` trains the models with the largest training set in the
+calling process and, on a machine with two or more usable CPUs, the rest in
+one forked child at the same time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,6 +197,13 @@ def train_lockstep(jobs) -> list:
     Adam step count and early-stopping state, and computes exactly what it
     would alone.
 
+    The models with the largest training set take the most steps per epoch,
+    so they set the pace. When some models have smaller sets, this process
+    may use two or more CPUs and ``os.fork`` exists, those models train in
+    one forked child while this process trains the largest; otherwise all
+    train here in one stack. No step mixes two models' data, so a model's
+    bits do not depend on where it trains.
+
     Returns one entry per pair, in order: (NetworkParams, TrainingTrace), or
     the NonFiniteLoss raised when either of that model's losses left the
     finite range.
@@ -203,6 +215,62 @@ def train_lockstep(jobs) -> list:
     if any(replace(c, seed=cfg.seed) != cfg for _, c in jobs):
         raise ValueError("configs trained in lockstep may differ only in seed")
 
+    n_train = [split_sizes(ds.n, c)[0] for ds, c in jobs]
+    largest = [i for i, n in enumerate(n_train) if n == max(n_train)]
+    rest = [i for i in range(len(jobs)) if i not in largest]
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not rest or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return _train_stack(jobs)
+    trained = dict(zip(largest + rest, _train_in_two([jobs[i] for i in largest],
+                                                      [jobs[i] for i in rest])))
+    return [trained[i] for i in range(len(jobs))]
+
+
+def _train_in_two(here, there) -> list:
+    """``_train_stack(here) + _train_stack(there)``, with ``there`` trained at
+    the same time in one forked child. The child sends its list, or the
+    exception it raised, back as one pickle over a pipe. If this side raises,
+    the child is killed; a child that exits without a result raises
+    RuntimeError."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:   # never return into the caller's stack from the child
+            os.close(read_fd)
+            try:
+                payload = _train_stack(there)
+            except BaseException as exc:
+                payload = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            own = _train_stack(here)
+            data = pipe.read()
+    except BaseException:
+        import signal   # only this path needs it; keeps it out of the import time
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the training child process exited with code {code} "
+                           "before sending its results")
+    theirs = pickle.loads(data)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return own + theirs
+
+
+def _train_stack(jobs) -> list:
+    """:func:`train_lockstep` of a validated job list, every model in this
+    process and in one stack."""
+    cfg = jobs[0][1]
     # every distinct dataset once in x_all, y_all; the indices below are into them
     offsets, xs, ys = {}, [], []
     for ds, _ in jobs:

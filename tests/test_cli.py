@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,17 @@ def test_sweep_command(tmp_path, capsys):
         "k2_seed1.csv", "k2_seed2.csv", "k3_seed1.csv", "k3_seed2.csv"]
     out = capsys.readouterr().out
     assert "alpha" in out and "report written" in out
+
+
+def test_sweep_records_the_distinct_ks_it_runs(tmp_path, capsys):
+    mirror = tmp_path / "r.json"
+    rc = main(["sweep", "--axis-counts", "3,2,2", "--repeats", "1",
+               "--report", str(tmp_path / "r.csv"), "--json", str(mirror)])
+    assert rc == 0
+    doc = json.loads(mirror.read_text())
+    assert doc["meta"]["axis_counts"] == doc["summary"]["ks"] == [2, 3]
+    assert len(doc["rows"]) == 2
+    capsys.readouterr()
 
 
 def test_sweep_rerun_bitwise_identical(tmp_path):
@@ -171,3 +186,28 @@ def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    # the heart path leaves a box whose x3 ends at 20 mm
+    model = tmp_path / "m.json"
+    assert main(["train", "--samples-per-axis", "2", "--epochs", "3", "--out", str(model)]) == 0
+    capsys.readouterr()
+    rc = main(["--box", "20,80,20,80,0,20", "eval", "--model", str(model),
+               "--path", "heart", "--emit", str(tmp_path / "t.csv")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: ") and "outside the workspace box" in err
+
+
+def test_import_leaves_process_pools_out():
+    # the sweep forks with os.fork; the pool modules would only add import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, ikann.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,11 +1,13 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
 from conftest import adam_step, init_adam_state, loss
-from ikann import _kernels
-from ikann.errors import NonFiniteLoss
+from ikann import _kernels, neuralnet
+from ikann.errors import InsufficientData, NonFiniteLoss, UnreachableGridPoint
 from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
                              backward, init_params, predict,
                              split_dataset, split_sizes, train, train_lockstep)
@@ -332,6 +334,133 @@ def test_train_many_rejects_mixed_configs(box):
     with pytest.raises(ValueError):
         train_lockstep([(ds, TrainingConfig(seed=1)),
                         (generate_grid(box, 3), TrainingConfig(seed=1, max_epochs=7))])
+
+
+# --- the split over two processes -------------------------------------------
+# train_lockstep trains the largest-set jobs here and the rest in one forked
+# child when the process may use two CPUs; the tests below pin two of them, so
+# they take the split path on any machine
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def mixed_jobs(box):
+    grids = {k: generate_grid(box, k) for k in (2, 3)}
+    return [(grids[k], TrainingConfig(seed=s, max_epochs=3)) for s in (1, 2) for k in (2, 3)]
+
+
+def recorded_forks(monkeypatch):
+    """Pids of the children ``os.fork`` starts from now on."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seeds, learning_rate", [((1, 2), 0.001), ((3, 4), 1.6e76),
+                                                  ((5, 6), 1.6e76)])
+def test_split_matches_one_stack(monkeypatch, box, two_cpus, seeds, learning_rate):
+    # interleaved k = 2, 3, 5; at the huge learning rate some jobs diverge and
+    # a k = 2 or k = 3 job stops early, in the child's group
+    grids = {k: generate_grid(box, k) for k in (2, 3, 5)}
+    jobs = [(grids[k], TrainingConfig(seed=s, max_epochs=20, patience=2,
+                                      learning_rate=learning_rate))
+            for s in seeds for k in (2, 3, 5)]
+    stack = neuralnet._train_stack(jobs)
+    if learning_rate > 1:
+        assert any(isinstance(r, NonFiniteLoss) for r in stack)
+        assert any(not isinstance(r, NonFiniteLoss) and r[1].stopped_early for r in stack)
+    forks = recorded_forks(monkeypatch)
+    for want, got in zip(stack, train_lockstep(jobs), strict=True):
+        if isinstance(want, NonFiniteLoss):
+            assert type(got) is NonFiniteLoss and str(got) == str(want)
+        else:
+            assert_same_training(got, want)
+    assert len(forks) == 1
+
+
+def test_split_trains_the_smaller_sets_in_one_child(monkeypatch, two_cpus, mixed_jobs):
+    forks = recorded_forks(monkeypatch)
+    monkeypatch.setattr(neuralnet, "_train_stack",
+                        lambda jobs: [(os.getpid(), ds.n) for ds, _ in jobs])
+    got = train_lockstep(mixed_jobs)
+    assert [n for _, n in got] == [ds.n for ds, _ in mixed_jobs]
+    assert {pid for pid, n in got if n == 27} == {os.getpid()}
+    assert {pid for pid, n in got if n == 8} == set(forks) and len(forks) == 1
+    assert_reaped(forks[0])
+
+
+def test_one_cpu_never_forks(monkeypatch, mixed_jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_fork():
+        raise AssertionError("os.fork called with one CPU")
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = train_lockstep(mixed_jobs)
+    assert [t.epochs_run for _, t in got] == [3] * 4
+
+
+def child_only(monkeypatch, action):
+    """Make ``_train_stack`` run ``action`` in a forked child and return
+    placeholders in this process."""
+    parent = os.getpid()
+
+    def stack(jobs):
+        if os.getpid() != parent:
+            action()
+        return [None] * len(jobs)
+    monkeypatch.setattr(neuralnet, "_train_stack", stack)
+
+
+def test_child_death_raises_runtime_error(monkeypatch, two_cpus, mixed_jobs):
+    forks = recorded_forks(monkeypatch)
+    child_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        train_lockstep(mixed_jobs)
+    assert_reaped(forks[0])
+
+
+@pytest.mark.parametrize("exc", [InsufficientData("child says no"), ValueError("child says no"),
+                                 UnreachableGridPoint(4, (140.0, 0.0, 69.0))])
+def test_child_exception_reaches_caller(monkeypatch, two_cpus, mixed_jobs, exc):
+    forks = recorded_forks(monkeypatch)
+
+    def fail():
+        raise exc
+    child_only(monkeypatch, fail)
+    with pytest.raises(type(exc)) as info:
+        train_lockstep(mixed_jobs)
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    assert_reaped(forks[0])
+
+
+def test_caller_interrupt_kills_child(monkeypatch, two_cpus, mixed_jobs):
+    forks = recorded_forks(monkeypatch)
+    parent = os.getpid()
+
+    def stack(jobs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(neuralnet, "_train_stack", stack)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        train_lockstep(mixed_jobs)
+    assert time.monotonic() - start < 30
+    assert_reaped(forks[0])
 
 
 def test_best_val_not_worse_than_first_epoch(box):
