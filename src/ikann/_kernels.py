@@ -17,7 +17,9 @@ The models of a stack may train on sets of different sizes. The rows are
 sorted by training-set size, largest first, so the rows that have a full
 batch j form a prefix of the stack, and one step on views of that prefix
 serves them all; each block of rows of one size then takes its short last
-batch together (:func:`plan`). Each row keeps its own Adam step count.
+batch together (:func:`plan`). A row takes the same steps every epoch, so
+its Adam step count follows from the epoch. The rows stay fixed for a whole
+run: a model that stops keeps its row, and nothing reads its later steps.
 
 Each product is one ``np.matmul`` over the rows of a step; elementwise
 operations and per-model sums never mix models. Row r of a stacked step is
@@ -29,6 +31,10 @@ transposed view can round differently when a batch has a single row.
 import itertools
 
 import numpy as np
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def unpack(theta, hidden):
@@ -89,23 +95,20 @@ def plan(theta, m, v, hidden, n_train, batch_size):
 
     Batch j runs as one step on the prefix of rows that have a full batch j;
     after the full batches, each block of rows of one size takes its short
-    last batch together. Returns (sse, steps): a buffer for each row's sum of
-    squared errors, and per step its rows (a slice) with their views
-    ``theta, m, v, unpack(theta), sse``, the columns of their shuffled
-    training data it reads, and its batch index j within each row's epoch.
-    The views stay valid while theta, m and v (R, P) are updated in place, so
-    a plan serves every epoch until the stack changes.
+    last batch together. Returns the schedule for :func:`epoch_step`: per
+    step its rows (a slice) with their views ``theta, m, v, unpack(theta),
+    sse``, the columns of their shuffled data it reads, and its batch index j
+    in each row's epoch; the buffer ``sse`` of each row's sum of squared
+    errors; the runs (lo, hi, q) of rows taking q steps per epoch; and each
+    row's loss divisor 3 * n_train. The views stay valid while theta, m and
+    v (R, P) are updated in place, so one plan serves a whole run.
     """
     n_train = [int(n) for n in n_train]
     sse = np.zeros(len(n_train))
-    views = {}
 
     def rows(lo, hi):
-        if (lo, hi) not in views:
-            th = theta[lo:hi]
-            views[lo, hi] = (slice(lo, hi), th, m[lo:hi], v[lo:hi], unpack(th, hidden),
-                              sse[lo:hi])
-        return views[lo, hi]
+        th = theta[lo:hi]
+        return slice(lo, hi), th, m[lo:hi], v[lo:hi], unpack(th, hidden), sse[lo:hi]
 
     steps = []
     for j in range(n_train[0] // batch_size):
@@ -115,26 +118,40 @@ def plan(theta, m, v, hidden, n_train, batch_size):
         full = n // batch_size
         if n > full * batch_size:
             steps.append((rows(lo, hi), slice(full * batch_size, n), full))
-    return sse, steps
+    per_epoch = list(runs(-(-n // batch_size) for n in n_train))
+    return steps, sse, per_epoch, np.array(n_train) * 3.0
 
 
-def epoch_step(schedule, x, y, bc1, bc2, lr, beta1, beta2, eps):
-    """One epoch of mini-batch Adam for a stack, mutating its parameters and
-    moments in place through the views of ``schedule`` (from :func:`plan`).
+def _bias_corrections(beta, epoch, per_epoch):
+    """(batches, rows, 1) array of 1 - beta**t for the Adam step t of each
+    row's batch j in this epoch; rows lo:hi of ``per_epoch`` take q steps per
+    epoch, so they have taken epoch * q. The values are Python floats, the
+    bits a model alone would use."""
+    bc = np.ones((per_epoch[0][2], per_epoch[-1][1], 1))
+    for lo, hi, q in per_epoch:
+        bc[:q, lo:hi, 0] = [[1.0 - beta ** t] for t in range(epoch * q + 1, epoch * q + q + 1)]
+    return bc
+
+
+def epoch_step(schedule, x, y, epoch, lr):
+    """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
+    parameters and moments in place through the views of ``schedule`` (from
+    :func:`plan`).
 
     x, y (R, n, 3) are each row's training inputs and targets in this epoch's
-    shuffled order, padded to the longest set. bc1, bc2 (J, R, 1) are the
-    bias corrections 1 - beta**t of the Adam step t that each row takes as its
-    batch j. Returns each row's sum of squared pre-update batch errors (R,).
+    shuffled order, padded to the longest set. Returns each row's mean
+    squared pre-update batch error (R,).
     """
-    sse, steps = schedule
+    steps, sse, per_epoch, n3 = schedule
+    bc1 = _bias_corrections(ADAM_BETA1, epoch, per_epoch)
+    bc2 = _bias_corrections(ADAM_BETA2, epoch, per_epoch)
     sse[:] = 0.0
     for (r, theta, m, v, params, row_sse), cols, j in steps:
         err, g = gradients(*params, x[r, cols], y[r, cols])
         row_sse += np.add.reduce(err * err, axis=(1, 2))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        theta -= lr * (m / bc1[j, r]) / (np.sqrt(v / bc2[j, r]) + eps)
-    return sse.copy()
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        theta -= lr * (m / bc1[j, r]) / (np.sqrt(v / bc2[j, r]) + ADAM_EPS)
+    return sse / n3

@@ -21,12 +21,11 @@ multiplies by the mean box span, a calibration constant.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotACube
+from .errors import NotACube, warn_caller
 from .neuralnet import NetworkParams
 from .sampler import WorkspaceBox, exact_cube_root, half_spacing_normalized
 
@@ -88,13 +87,9 @@ def check_weight_range(p: NetworkParams):
     range."""
     biggest = max(float(np.max(np.abs(p.w1))), float(np.max(np.abs(p.w2))))
     if biggest > WEIGHT_RANGE_LIMIT:
-        warnings.warn(
-            f"trained weight magnitude {biggest:.3g} exceeds the expected "
-            f"[-{WEIGHT_RANGE_LIMIT:g}, {WEIGHT_RANGE_LIMIT:g}] range; "
-            "w_bar-based estimates may be loose",
-            WeightRangeWarning,
-            stacklevel=2,
-        )
+        warn_caller(f"trained weight magnitude {biggest:.3g} exceeds the expected "
+                    f"[-{WEIGHT_RANGE_LIMIT:g}, {WEIGHT_RANGE_LIMIT:g}] range; "
+                    "w_bar-based estimates may be loose", WeightRangeWarning)
 
 
 def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox) -> BoundReport:

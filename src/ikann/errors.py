@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way it warns."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_caller(message, category):
+    """Warn with the source set to the first caller outside this package, so
+    that a library user sees the line of their own code that led here."""
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)
 
 
 class IkannError(Exception):

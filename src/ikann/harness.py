@@ -312,29 +312,6 @@ def write_training_curve(trace: TrainingTrace, path):
                zip(itertools.count(1), trace.train_loss, trace.val_loss))
 
 
-def _json_17g(obj) -> str:
-    """JSON text with floats at 17 significant digits (bitwise round-trip)."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        text = format(float(obj), ".17g")
-        # "-0" would read back as the integer 0 and lose the sign
-        return "-0.0" if text == "-0" else text
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, np.ndarray):
-        return _json_17g(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_17g(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_17g(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 @dataclass(frozen=True)
 class SavedModel:
     params: NetworkParams
@@ -344,21 +321,22 @@ class SavedModel:
 
 def save_model(params: NetworkParams, path, box: WorkspaceBox, meta: dict | None = None):
     """Persist a trained model with its normalization bounds (schema
-    ik-ann-model/1; floats at 17 significant digits)."""
+    ik-ann-model/1). Floats are written as Python's repr, which reads back
+    bitwise, -0.0 included."""
     doc = {
         "schema": MODEL_SCHEMA,
         "hidden": params.hidden,
         "activation": "relu",
-        "w1": params.w1,
-        "b1": params.b1,
-        "w2": params.w2,
-        "b2": params.b2,
-        "input_min": box.lo,
-        "input_max": box.hi,
+        "w1": params.w1.tolist(),
+        "b1": params.b1.tolist(),
+        "w2": params.w2.tolist(),
+        "b2": params.b2.tolist(),
+        "input_min": box.lo.tolist(),
+        "input_max": box.hi.tolist(),
         "meta": meta or {},
     }
     with open(path, "w") as fh:
-        fh.write(_json_17g(doc) + "\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> SavedModel:

@@ -23,11 +23,6 @@ from . import _kernels
 from .errors import NonFiniteLoss
 from .sampler import TrainingSet, normalize_input
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
-
 @dataclass(frozen=True)
 class NetworkParams:
     """Weights and biases; w1 is (hidden, 3), w2 is (3, hidden)."""
@@ -71,6 +66,8 @@ class TrainingConfig:
             raise ValueError("learning_rate must be > 0")
         if not (0 <= self.val_fraction < 0.5 and 0 <= self.test_fraction < 0.5):
             raise ValueError("val/test fractions must lie in [0, 0.5)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -158,17 +155,6 @@ def split_dataset(ds: TrainingSet, cfg: TrainingConfig) -> tuple:
     return np.sort(perm[n_val + n_test:]), np.sort(perm[:n_val])
 
 
-def _bias_corrections(beta, epoch, per_epoch):
-    """(batches, rows, 1) array of 1 - beta**t for the Adam step t of each
-    row's batch j in this epoch. ``per_epoch`` lists (lo, hi, q), largest q
-    first: rows lo:hi take q steps per epoch, so they have taken epoch * q.
-    The values are Python floats, the bits a model alone would use."""
-    bc = np.ones((per_epoch[0][2], per_epoch[-1][1], 1))
-    for lo, hi, q in per_epoch:
-        bc[:q, lo:hi, 0] = [[1.0 - beta ** t] for t in range(epoch * q + 1, epoch * q + q + 1)]
-    return bc
-
-
 def train(ds: TrainingSet, cfg: TrainingConfig):
     """Train one model on the grid dataset per the configured recipe (see
     :func:`train_lockstep`). Returns (NetworkParams, TrainingTrace).
@@ -187,21 +173,21 @@ def train_lockstep(jobs) -> list:
     Inputs are normalized by the dataset box; targets stay in radians. With
     early stopping on, an epoch counts as non-improving when it fails to beat
     the previous epoch's validation loss by min_delta; after ``patience``
-    consecutive non-improving epochs the model stops and leaves the stack.
-    The best-validation parameters are restored at the end either way.
+    consecutive non-improving epochs the model stops, and its
+    best-validation parameters are returned. With early stopping off, every
+    model runs ``max_epochs`` epochs and its final parameters are returned.
 
     The datasets may differ; the configs may differ only in ``seed``. The
     stack is sorted by training-set size, largest first, so that one stacked
     Adam step serves every model with a full batch at that point of its epoch
     (``_kernels.plan``). Each model keeps its own init, split, shuffle stream,
     Adam step count and early-stopping state, and computes exactly what it
-    would alone.
+    would alone; a model that stops keeps its row in the stack.
 
-    The models with the largest training set take the most steps per epoch,
-    so they set the pace. When some models have smaller sets, this process
-    may use two or more CPUs and ``os.fork`` exists, those models train in
-    one forked child while this process trains the largest; otherwise all
-    train here in one stack. No step mixes two models' data, so a model's
+    When some models have smaller sets than others, this process may use two
+    or more CPUs and ``os.fork`` exists, those models train in one forked
+    child while this process trains the ones with the largest set; otherwise
+    all train here in one stack. No step mixes two models' data, so a model's
     bits do not depend on where it trains.
 
     Returns one entry per pair, in order: (NetworkParams, TrainingTrace), or
@@ -279,84 +265,71 @@ def _train_stack(jobs) -> list:
             xs.append(normalize_input(ds.points, ds.box))
             ys.append(ds.angles)
     x_all, y_all = np.concatenate(xs), np.concatenate(ys)
-    splits = [split_dataset(ds, c) for ds, c in jobs]
-    train_idx = [t + offsets[id(ds)] for (t, _), (ds, _) in zip(splits, jobs)]
-    val_idx = [v + offsets[id(ds)] for (_, v), (ds, _) in zip(splits, jobs)]
-    n_train = np.array([len(t) for t in train_idx])
-    n_val = np.array([len(t) for t in val_idx])
 
-    # stack row -> job index, largest training set first
-    live = np.array(sorted(range(len(jobs)), key=lambda i: -n_train[i]))
-    theta = np.stack([_flat_row(init_params(cfg.hidden, jobs[i][1].seed)) for i in live])
+    # stack row r trains job order[r], largest training set first; every
+    # per-model buffer below is indexed by row, and a row never moves
+    order = sorted(range(len(jobs)), key=lambda i: -split_sizes(jobs[i][0].n, cfg)[0])
+    rows = [jobs[i] for i in order]
+    splits = [split_dataset(ds, c) for ds, c in rows]
+    train_idx = [t + offsets[id(ds)] for (t, _), (ds, _) in zip(splits, rows)]
+    val_idx = [v + offsets[id(ds)] for (_, v), (ds, _) in zip(splits, rows)]
+    n_train = [len(t) for t in train_idx]
+
+    theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for _, c in rows])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    steps_per_epoch = -(-n_train // cfg.batch_size)
+    schedule = _kernels.plan(theta, m, v, cfg.hidden, n_train, cfg.batch_size)
+    blocks = []   # one validation call per run of equal val sizes
+    for lo, hi, nv in _kernels.runs(len(i) for i in val_idx):
+        if nv:
+            idx = np.stack(val_idx[lo:hi])
+            blocks.append((slice(lo, hi), _kernels.unpack(theta[lo:hi], cfg.hidden),
+                           x_all[idx], y_all[idx]))
 
-    best = np.zeros((len(jobs), theta.shape[1]))
-    rngs = [np.random.default_rng([c.seed, 2]) for _, c in jobs]
-    traces = [TrainingTrace() for _ in jobs]
-    results = [None] * len(jobs)
-    best_val = [math.inf] * len(jobs)
-    prev_val = [math.inf] * len(jobs)
-    bad_epochs = [0] * len(jobs)
-
-    def layout(live, theta, m, v):
-        """The batch plan, validation blocks, loss divisors and runs of equal
-        steps per epoch of a stack; they change only when a model leaves it."""
-        schedule = _kernels.plan(theta, m, v, cfg.hidden, n_train[live], cfg.batch_size)
-        blocks = []   # one validation call per run of equal val sizes
-        for lo, hi, nv in _kernels.runs(n_val[live]):
-            if nv:
-                idx = np.stack([val_idx[i] for i in live[lo:hi]])
-                blocks.append((slice(lo, hi), _kernels.unpack(theta[lo:hi], cfg.hidden),
-                               x_all[idx], y_all[idx]))
-        return (schedule, blocks, n_train[live] * 3.0,
-                list(_kernels.runs(steps_per_epoch[live])))
-
-    schedule, blocks, n3, per_epoch = layout(live, theta, m, v)
+    best = np.zeros_like(theta)
+    rngs = [np.random.default_rng([c.seed, 2]) for _, c in rows]
+    traces = [TrainingTrace() for _ in rows]
+    results = [None] * len(rows)
+    best_val = [math.inf] * len(rows)
+    prev_val = [math.inf] * len(rows)
+    bad_epochs = [0] * len(rows)
+    running = range(len(rows))
+    orders = np.zeros((len(rows), n_train[0]), dtype=np.intp)
     for epoch in range(cfg.max_epochs):
-        orders = np.zeros((len(live), n_train[live[0]]), dtype=np.intp)
-        for row, i in enumerate(live):
-            orders[row, :n_train[i]] = rngs[i].permutation(train_idx[i])
+        for r in running:   # a stopped row repeats its last order
+            orders[r, :n_train[r]] = rngs[r].permutation(train_idx[r])
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            train_loss = _kernels.epoch_step(
-                schedule, np.take(x_all, orders, axis=0), np.take(y_all, orders, axis=0),
-                _bias_corrections(ADAM_BETA1, epoch, per_epoch),
-                _bias_corrections(ADAM_BETA2, epoch, per_epoch),
-                cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS) / n3
+            train_loss = _kernels.epoch_step(schedule, np.take(x_all, orders, axis=0),
+                                             np.take(y_all, orders, axis=0),
+                                             epoch, cfg.learning_rate)
             val_loss = train_loss.copy()
-            for rows, params, x_val, y_val in blocks:
-                val_loss[rows] = _kernels.mse(*params, x_val, y_val)
-        keep = []
-        for row, i in enumerate(live):
-            tl, vl = float(train_loss[row]), float(val_loss[row])
-            trace = traces[i]
+            for sl, params, x_val, y_val in blocks:
+                val_loss[sl] = _kernels.mse(*params, x_val, y_val)
+        for r in running:
+            tl, vl = float(train_loss[r]), float(val_loss[r])
+            trace = traces[r]
             trace.train_loss.append(tl)
             trace.val_loss.append(vl)
             trace.epochs_run = epoch + 1
             if not (math.isfinite(tl) and math.isfinite(vl)):
-                results[i] = NonFiniteLoss(f"loss diverged at epoch {epoch + 1} "
+                results[r] = NonFiniteLoss(f"loss diverged at epoch {epoch + 1} "
                                            f"(train={tl}, val={vl})")
                 continue
-            if vl < best_val[i]:
-                best_val[i] = vl
-                best[i] = theta[row]
-            if vl < prev_val[i] - cfg.min_delta:
-                bad_epochs[i] = 0
+            if vl < best_val[r]:
+                best_val[r] = vl
+                best[r] = theta[r]
+            if vl < prev_val[r] - cfg.min_delta:
+                bad_epochs[r] = 0
             else:
-                bad_epochs[i] += 1
-                if cfg.early_stopping and bad_epochs[i] >= cfg.patience:
-                    trace.stopped_early = True
-                    continue
-            prev_val[i] = vl
-            keep.append(row)
-        if len(keep) < len(live):
-            if not keep:
-                break
-            live, theta, m, v = live[keep], theta[keep], m[keep], v[keep]
-            schedule, blocks, n3, per_epoch = layout(live, theta, m, v)
+                bad_epochs[r] += 1
+                trace.stopped_early = cfg.early_stopping and bad_epochs[r] >= cfg.patience
+            prev_val[r] = vl
+        running = [r for r in running if results[r] is None and not traces[r].stopped_early]
+        if not running:
+            break
 
     if not cfg.early_stopping:
-        best[live] = theta
-    return [r if r is not None else (_params_from_row(best[i], cfg.hidden), traces[i])
-            for i, r in enumerate(results)]
+        best = theta
+    trained = [res if res is not None else (_params_from_row(best[r], cfg.hidden), traces[r])
+               for r, res in enumerate(results)]
+    return [trained[order.index(i)] for i in range(len(jobs))]

@@ -9,11 +9,11 @@ lists in its ``params`` for the report metadata.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import warn_caller
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, forward_kinematics_batch, inverse_kinematics
 from .neuralnet import NetworkParams, predict
 from .sampler import DEFAULT_BOX, WorkspaceBox, normalize_input
@@ -122,8 +122,8 @@ def tracking_details(model, traj: TrajectorySpec, geom: RobotGeometry, box: Work
     pts = traj.points
     outside = int(np.count_nonzero(~box.contains(pts)))
     if outside:
-        warnings.warn(f"{outside} of {len(pts)} path points lie outside the workspace box",
-                      PathOutsideBoxWarning, stacklevel=2)
+        warn_caller(f"{outside} of {len(pts)} path points lie outside the workspace box",
+                    PathOutsideBoxWarning)
     if isinstance(model, NetworkParams):
         q_hat = predict(model, normalize_input(pts, box))
     else:

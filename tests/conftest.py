@@ -3,9 +3,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ikann._kernels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from ikann.kinematics import DEFAULT_GEOMETRY
-from ikann.neuralnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Gradients,
-                             NetworkParams, TrainingConfig, predict, train)
+from ikann.neuralnet import Gradients, NetworkParams, TrainingConfig, predict, train
 from ikann.sampler import DEFAULT_BOX, generate_grid
 
 

@@ -168,11 +168,15 @@ def test_bound_report_fields(box):
     assert rep.bound_normalized >= 1.0 / (4 * (5 - 1) ** 2)
 
 
-def test_weight_range_warning():
+def test_weight_range_warning(box):
     p = NetworkParams(w1=np.array([[6.0, 0.0, 0.0]]), b1=np.zeros(1),
                       w2=np.zeros((3, 1)), b2=np.zeros(3))
     with pytest.warns(WeightRangeWarning):
         check_weight_range(p)
+    # raised inside the package, the warning still names the caller's line
+    with pytest.warns(WeightRangeWarning) as record:
+        compute_bound_report(p, 27, box)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_weight_range_quiet_for_small_weights(recwarn):

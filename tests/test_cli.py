@@ -188,6 +188,18 @@ def test_unknown_command_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "train", "--samples-per-axis", "2", "--out", "m.json"],
+    ["--seed", "-3", "sweep", "--axis-counts", "2", "--report", "r.csv"],
+])
+def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.filterwarnings("default")   # main prints warnings; it must see them
 def test_warning_is_one_stderr_line(tmp_path, capsys):
     # the heart path leaves a box whose x3 ends at 20 mm
     model = tmp_path / "m.json"

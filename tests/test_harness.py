@@ -18,7 +18,7 @@ from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            summarize, write_training_curve)
 from ikann.neuralnet import NetworkParams, TrainingConfig, init_params
 from ikann.sampler import WorkspaceBox, generate_grid
-from ikann.trajectory import make_rectangle_path
+from ikann.trajectory import PathOutsideBoxWarning, make_heart_path, make_rectangle_path
 
 QUICK = HarnessConfig(training=TrainingConfig(max_epochs=40))
 
@@ -442,6 +442,23 @@ def test_trajectory_export(tmp_path, box, geom, trained_k3):
     first = lines[1].split(",")
     assert first[0] == "0"
     np.testing.assert_allclose([float(v) for v in first[1:4]], traj.points[0])
+
+
+SHORT_BOX = WorkspaceBox(lo=[20.0, 20.0, 0.0], hi=[80.0, 80.0, 20.0])   # the heart leaves it
+
+
+def test_export_warning_names_the_caller(tmp_path, geom, trained_k3):
+    params, _ = trained_k3
+    with pytest.warns(PathOutsideBoxWarning) as record:
+        export_trajectory(make_heart_path(), params, geom, SHORT_BOX, tmp_path / "t.csv")
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_sweep_warning_names_the_caller():
+    with pytest.warns(PathOutsideBoxWarning) as record:
+        run_sweep([2], [1], HarnessConfig(box=SHORT_BOX, path_kind="heart",
+                                          training=TrainingConfig(max_epochs=3)))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_training_curve_file(tmp_path, trained_k3):

@@ -45,29 +45,19 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
     return params, step, sse / (len(x) * 3.0)
 
 
-def bias_corrections(beta, steps_so_far, batches):
-    """(batches, rows, 1) table of 1 - beta**t for the step t of each row's
-    batch j, as Python floats."""
-    return np.array([[[1.0 - beta ** (s + j + 1)] for s in steps_so_far]
-                     for j in range(batches)])
-
-
-def stacked_epoch(theta, n_train, x, y, steps_so_far):
-    """One stacked epoch from zero moments; returns each row's epoch loss."""
+def stacked_epoch(theta, n_train, x, y, epoch):
+    """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     schedule = _kernels.plan(theta, m, v, 16, n_train, 8)
-    batches = -(-max(n_train) // 8)
-    sse = _kernels.epoch_step(schedule, x, y,
-                              bias_corrections(0.9, steps_so_far, batches),
-                              bias_corrections(0.999, steps_so_far, batches),
-                              0.001, 0.9, 0.999, 1e-8)
-    return sse / (np.asarray(n_train) * 3.0)
+    return _kernels.epoch_step(schedule, x, y, epoch, 0.001)
 
 
-def assert_rows_match_reference(seeds, n_train, steps_so_far, x, y):
+def assert_rows_match_reference(seeds, n_train, epoch, x, y):
+    # each row has taken epoch * (its steps per epoch) Adam steps before
     theta = np.stack([flat_row(s) for s in seeds])
-    losses = stacked_epoch(theta, n_train, x, y, steps_so_far)
-    for row, (seed, n, step0) in enumerate(zip(seeds, n_train, steps_so_far)):
+    losses = stacked_epoch(theta, n_train, x, y, epoch)
+    for row, (seed, n) in enumerate(zip(seeds, n_train)):
+        step0 = epoch * -(-n // 8)
         ref, ref_step, ref_loss = reference_epoch(
             _kernels.unpack(flat_row(seed), 16), x[row, :n], y[row, :n],
             8, 0.001, 0.9, 0.999, 1e-8, step0)
@@ -86,21 +76,22 @@ def test_stacked_epoch_step_matches_single_models():
     y = rng.normal(0, 1, (len(seeds), 25, 3))
     for stack in ([0], [0, 1, 2]):
         assert_rows_match_reference([seeds[i] for i in stack], [25] * len(stack),
-                                    [0] * len(stack), x[stack], y[stack])
+                                    0, x[stack], y[stack])
 
 
 def test_mixed_size_stack_matches_single_models():
     # rows sorted by training-set size: two of 25 (a shared one-row tail), 12
     # (one full batch and a tail of 4) and 6, which has no full batch, as on
-    # the k = 2 grid; each row has its own Adam step count. The padding past
-    # each row's own set is NaN, so a step that read it would show.
-    seeds, n_train, steps_so_far = (11, 12, 13, 14), [25, 25, 12, 6], [0, 8, 3, 40]
+    # the k = 2 grid; in epoch 10 each row has its own Adam step count (40,
+    # 40, 20 and 10). The padding past each row's own set is NaN, so a step
+    # that read it would show.
+    seeds, n_train = (11, 12, 13, 14), [25, 25, 12, 6]
     rng = np.random.default_rng(6)
     x = rng.uniform(0, 1, (4, 25, 3))
     y = rng.normal(0, 1, (4, 25, 3))
     for row, n in enumerate(n_train):
         x[row, n:] = y[row, n:] = np.nan
-    assert_rows_match_reference(seeds, n_train, steps_so_far, x, y)
+    assert_rows_match_reference(seeds, n_train, 10, x, y)
 
 
 def test_plan_of_default_sweep():
@@ -108,7 +99,7 @@ def test_plan_of_default_sweep():
     # tail per k
     n_train = [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)]
     theta = np.zeros((len(n_train), 7 * 16 + 3))
-    _, steps = _kernels.plan(theta, theta.copy(), theta.copy(), 16, n_train, 8)
+    steps, _, per_epoch, n3 = _kernels.plan(theta, theta.copy(), theta.copy(), 16, n_train, 8)
     assert len(steps) == 57 + 7
     prefix = [(rows[0], cols, j) for rows, cols, j in steps[:57]]
     assert prefix[0] == (slice(0, 30), slice(0, 8), 0)
@@ -117,3 +108,6 @@ def test_plan_of_default_sweep():
     tails = [(rows[0], cols, j) for rows, cols, j in steps[57:]]
     assert tails[0] == (slice(0, 5), slice(456, 460), 57)
     assert tails[-1] == (slice(30, 35), slice(0, 6), 0)
+    # steps per epoch 58, 39, 25, 15, 8, 4 and 1; loss divisors 3 * n_train
+    assert per_epoch == [(5 * i, 5 * i + 5, q) for i, q in enumerate((58, 39, 25, 15, 8, 4, 1))]
+    np.testing.assert_array_equal(n3, np.array(n_train) * 3.0)

@@ -178,10 +178,8 @@ def test_adam_epoch_matches_kernel(k3_dataset):
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     schedule = _kernels.plan(theta, m, v, 4, [ds.n], cfg.batch_size)
-    assert len(schedule[1]) == state.t
-    t = np.arange(1, state.t + 1)[:, None, None]
-    _kernels.epoch_step(schedule, x[order][None], y[order][None], 1.0 - 0.9 ** t,
-                        1.0 - 0.999 ** t, cfg.learning_rate, 0.9, 0.999, 1e-8)
+    assert len(schedule[0]) == state.t
+    _kernels.epoch_step(schedule, x[order][None], y[order][None], 0, cfg.learning_rate)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(b1, p.b1, rtol=1e-12, atol=1e-15)
@@ -275,8 +273,8 @@ def assert_same_training(a, b):
 
 
 def test_train_many_matches_train_alone(box):
-    # k = 3, seeds 1..5: seeds that stop early leave the stack mid-run, and the
-    # 25 training rows end every epoch on a one-row batch
+    # k = 3, seeds 1..5: seeds that stop early keep their rows to the end,
+    # and the 25 training rows end every epoch on a one-row batch
     ds = generate_grid(box, 3)
     cfgs = [TrainingConfig(seed=s) for s in range(1, 6)]
     many = train_lockstep([(ds, cfg) for cfg in cfgs])
@@ -315,14 +313,46 @@ def test_train_many_isolates_divergence(box):
 
 
 def test_train_lockstep_mixed_sizes_match_train_alone(box):
-    # k = 2..4 with early stopping: seed 1 of k = 2 leaves the end of the
-    # stack at epoch 71, seed 3 of k = 3 its middle at epoch 140
+    # k = 2..4 with early stopping: seed 1 of k = 2 stops at the end of the
+    # stack at epoch 71, seed 3 of k = 3 in its middle at epoch 140
     jobs = [(generate_grid(box, k), TrainingConfig(seed=s, max_epochs=150))
             for k in (2, 3, 4) for s in (1, 3)]
     lockstep = train_lockstep(jobs)
     assert len({t.epochs_run for _, t in lockstep}) > 2
     for (ds, cfg), got in zip(jobs, lockstep):
         assert_same_training(got, train(ds, cfg))
+
+
+@pytest.mark.parametrize("early_stopping", [True, False])
+def test_returned_params_best_or_final(box, early_stopping):
+    # k = 3, seed 3: with early stopping the returned parameters are the
+    # best-validation ones, without it the last epoch's; here the two differ
+    ds = generate_grid(box, 3)
+    cfg = TrainingConfig(seed=3, max_epochs=300, early_stopping=early_stopping)
+    params, trace = train(ds, cfg)
+    _, val = split_dataset(ds, cfg)
+    val_mse = kernel_mse(params, normalize_input(ds.points, ds.box)[val], ds.angles[val])
+    assert min(trace.val_loss) < trace.val_loss[-1]
+    assert val_mse == (min(trace.val_loss) if early_stopping else trace.val_loss[-1])
+
+
+@pytest.mark.parametrize("seeds, learning_rate, max_epochs, outcomes", [
+    ((1, 2, 3, 4), 0.001, 150, {"stopped early", "ran to the end"}),
+    ((1, 2, 3), 1.6e76, 40, {"stopped early", "diverged"}),
+])
+def test_one_plan_per_stack(monkeypatch, box, seeds, learning_rate, max_epochs, outcomes):
+    # a model that stops early or diverges keeps its row, so the stack is
+    # planned once however many of its models stop
+    plans, plan = [], _kernels.plan
+    monkeypatch.setattr(_kernels, "plan", lambda *args: plans.append(args) or plan(*args))
+    jobs = [(generate_grid(box, k), TrainingConfig(seed=s, max_epochs=max_epochs,
+                                                   learning_rate=learning_rate))
+            for k in (2, 3) for s in seeds]
+    got = {"diverged" if isinstance(r, NonFiniteLoss) else
+           "stopped early" if r[1].stopped_early else "ran to the end"
+           for r in neuralnet._train_stack(jobs)}
+    assert got == outcomes
+    assert len(plans) == 1
 
 
 def test_train_many_rejects_mixed_configs(box):
@@ -493,3 +523,5 @@ def test_config_validation():
         TrainingConfig(val_fraction=0.6)
     with pytest.raises(ValueError):
         TrainingConfig(batch_size=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainingConfig(seed=-1)

@@ -106,7 +106,9 @@ def test_report_statistics_consistent(box, geom, trained_k3):
 
 
 def test_outside_box_points_warn(box, geom):
-    # (90, 90, 30) is reachable but outside the training box
+    # (90, 90, 30) is reachable but outside the training box; the warning
+    # names the caller's line, not the package's
     traj = TrajectorySpec(points=np.array([[50.0, 50.0, 30.0], [90.0, 90.0, 30.0]]))
-    with pytest.warns(PathOutsideBoxWarning):
+    with pytest.warns(PathOutsideBoxWarning) as record:
         evaluate_tracking(exact_ik_model(geom), traj, geom, box)
+    assert [w.filename for w in record] == [__file__]
