@@ -21,20 +21,43 @@ batch together (:func:`plan`). A row takes the same steps every epoch, so
 its Adam step count follows from the epoch. The rows stay fixed for a whole
 run: a model that stops keeps its row, and nothing reads its later steps.
 
+Adam's first and second moments live in one (2, R, P) array, m in [0] and
+v in [1], so each Adam operation is one call over both. A step writes its
+gradients and temporaries in place into leading views of one set of scratch
+buffers per stack, and an epoch transposes its inputs once for all its
+steps.
+
 Each product is one ``np.matmul`` over the rows of a step; elementwise
 operations and per-model sums never mix models. Row r of a stacked step is
 therefore bitwise the step model r would take alone. This needs the
 transposed operands of the backward products to be C-contiguous copies: a
 transposed view can round differently when a batch has a single row.
+
+Subnormal moments. A hidden unit whose ReLU never fires has gradient 0, so
+its moments decay by beta every step until they stick a few ulps above 0
+(0.9 times the smallest subnormal rounds back to it). Arithmetic on
+subnormals takes the CPU's slow path, some 25 times the time per element,
+and a run that kills more units pays more each epoch. :func:`epoch_step`
+therefore sets every moment entry with 0 < |x| < 2.2e-308 (the smallest
+normal float64) to 0 once per epoch. No parameter bit moves: the step such
+an entry adds to a weight, lr * (m / bc1) / (sqrt(v / bc2) + eps), is below
+lr * 2.3e-299 in magnitude (bc1 >= 0.1, and the denominator is at least
+eps), less than a quarter ulp of any weight larger than lr * 4e-283; and a
+v that small leaves sqrt(v / bc2) + eps equal to eps. Trained weights are
+far larger: they start Glorot-uniform or at 0, and a weight whose gradient
+was always 0 has moments of exactly 0.
 """
 
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_TINY = np.finfo(float).tiny   # the smallest normal float64
 
 
 def unpack(theta, hidden):
@@ -59,6 +82,62 @@ def mse(a1, b1, a2, b2, x, y):
     return np.sum(err * err, axis=(-2, -1)) / (err.shape[-2] * 3.0)
 
 
+class _Scratch(NamedTuple):
+    """Temporaries of one step of S rows and a batch of B samples."""
+
+    pre: np.ndarray     # (S, B, H) hidden pre-activations
+    h: np.ndarray       # (S, B, H) hidden activations
+    ht: np.ndarray      # (S, H, B) their C-contiguous transpose
+    dh: np.ndarray      # (S, B, H) hidden gradient
+    off: np.ndarray     # (S, B, H) bool: where pre > 0 is False
+    err: np.ndarray     # (S, B, 3) output errors
+    dout: np.ndarray    # (S, B, 3) output gradient
+    a2t: np.ndarray     # (S, 3, H) C-contiguous transpose of a2
+    g: np.ndarray       # (2, S, P) gradient rows and their squares, then the
+                        # Adam step's quotients of m and v
+    grads: tuple        # unpack(g[0]): where backprop writes the gradients
+
+
+def _scratch(rows, batch, hidden, base=None):
+    """The :class:`_Scratch` of a step of ``rows`` rows and ``batch``
+    samples: new buffers, or C-contiguous leading views of the buffers of
+    ``base``, a :class:`_Scratch` at least as large."""
+    hb, b3, width = (rows, batch, hidden), (rows, batch, 3), 7 * hidden + 3
+    shapes = {"pre": hb, "h": hb, "ht": (rows, hidden, batch), "dh": hb, "off": hb,
+              "err": b3, "dout": b3, "a2t": (rows, 3, hidden), "g": (2, rows, width)}
+    views = {}
+    for name, shape in shapes.items():
+        flat = (np.empty(math.prod(shape), dtype=bool if name == "off" else float)
+                if base is None else getattr(base, name).reshape(-1))
+        views[name] = flat[:math.prod(shape)].reshape(shape)
+    return _Scratch(**views, grads=unpack(views["g"][0], hidden))
+
+
+def _backprop(a1, b1, a2, b2, x, xt, y, s):
+    """Output errors and exact MSE gradients of a stack for one batch x, y
+    (S, B, 3), written into ``s.err`` and ``s.grads`` (a :class:`_Scratch`).
+    b1 and b2 are (S, 1, H) and (S, 1, 3) views; xt is x transposed to
+    (S, 3, B) with unit inner stride. The ReLU subgradient at 0 is 0."""
+    pre, h, ht, dh, off, err, dout, a2t, _, (ga1, gb1, ga2, gb2) = s
+    np.matmul(x, a1, out=pre)
+    pre += b1
+    np.maximum(pre, 0.0, out=h)
+    np.matmul(h, a2, out=err)
+    err += b2
+    err -= y
+    np.multiply(err, 2.0 / (x.shape[1] * 3.0), out=dout)
+    np.copyto(ht, h.transpose(0, 2, 1))
+    np.matmul(ht, dout, out=ga2)
+    np.add.reduce(dout, axis=1, out=gb2)
+    np.copyto(a2t, a2.transpose(0, 2, 1))
+    np.matmul(dout, a2t, out=dh)
+    # zero dh where pre > 0 is False, so a NaN pre zeroes it too
+    np.logical_not(np.greater(pre, 0.0, out=off), out=off)
+    np.copyto(dh, 0.0, where=off)
+    np.matmul(xt, dh, out=ga1)
+    np.add.reduce(dh, axis=1, out=gb1)
+
+
 def gradients(a1, b1, a2, b2, x, y):
     """Exact MSE gradients of a stack for one batch x, y (S, B, 3); the ReLU
     subgradient at 0 is 0.
@@ -66,18 +145,12 @@ def gradients(a1, b1, a2, b2, x, y):
     Returns (err, g): the output errors (S, B, 3) and the gradients as flat
     rows (S, P) in the layout of the parameters.
     """
-    pre = x @ a1 + b1[:, None, :]
-    h = np.maximum(pre, 0.0)
-    err = h @ a2 + b2[:, None, :] - y
-    dout = err * (2.0 / (x.shape[1] * 3.0))
-    ga2 = np.ascontiguousarray(h.transpose(0, 2, 1)) @ dout
-    gb2 = np.add.reduce(dout, axis=1)
-    dh = dout @ np.ascontiguousarray(a2.transpose(0, 2, 1))
-    dh = np.where(pre > 0.0, dh, 0.0)
-    ga1 = np.ascontiguousarray(x.transpose(0, 2, 1)) @ dh
-    gb1 = np.add.reduce(dh, axis=1)
-    s = x.shape[0]
-    return err, np.concatenate((ga1.reshape(s, -1), gb1, ga2.reshape(s, -1), gb2), axis=1)
+    rows, batch, _ = x.shape
+    hidden = a1.shape[-1]
+    s = _scratch(rows, batch, hidden)
+    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x,
+              np.ascontiguousarray(x.transpose(0, 2, 1)), y, s)
+    return s.err, s.g[0]
 
 
 def runs(values):
@@ -89,69 +162,112 @@ def runs(values):
         lo = hi
 
 
-def plan(theta, m, v, hidden, n_train, batch_size):
+class _Step(NamedTuple):
+    """One stacked step of an epoch: its rows, the columns of their shuffled
+    data it reads, its batch index j in each row's epoch, views of the rows'
+    parameters, moments (2, S, P) with their factors (beta1, beta2) and
+    (1 - beta1, 1 - beta2), broadcast parameters (a1, b1[:, None], a2,
+    b2[:, None]) and loss sums, and its :class:`_Scratch`."""
+
+    rows: slice
+    cols: slice
+    j: int
+    theta: np.ndarray
+    mv: np.ndarray
+    decay: np.ndarray
+    gain: np.ndarray
+    params: tuple
+    sse: np.ndarray
+    scratch: _Scratch
+
+
+def plan(theta, mv, hidden, n_train, batch_size):
     """The mini-batch steps of one epoch for a stack whose rows are sorted by
     training-set size ``n_train`` (R,), largest first.
 
     Batch j runs as one step on the prefix of rows that have a full batch j;
     after the full batches, each block of rows of one size takes its short
-    last batch together. Returns the schedule for :func:`epoch_step`: per
-    step its rows (a slice) with their views ``theta, m, v, unpack(theta),
-    sse``, the columns of their shuffled data it reads, and its batch index j
-    in each row's epoch; the buffer ``sse`` of each row's sum of squared
-    errors; the runs (lo, hi, q) of rows taking q steps per epoch; and each
-    row's loss divisor 3 * n_train. The views stay valid while theta, m and
-    v (R, P) are updated in place, so one plan serves a whole run.
+    last batch together. Returns the schedule for :func:`epoch_step`: its
+    :class:`_Step` list; the buffer ``sse`` of each row's sum of squared
+    errors; the runs (lo, hi, q) of rows taking q steps per epoch; each row's
+    loss divisor 3 * n_train; and the moments ``mv``. ``mv`` (2, R, P) holds
+    Adam's first moments in ``mv[0]`` and second moments in ``mv[1]``. Every
+    step's temporaries are leading views of one set of buffers for the stack,
+    and steps of one shape share their views. The views stay valid while
+    theta (R, P) and mv are updated in place, so one plan serves a whole run.
     """
     n_train = [int(n) for n in n_train]
     sse = np.zeros(len(n_train))
+    base = _scratch(len(n_train), batch_size, hidden)
+    # the Adam factors at full shape: a (2, 1, 1) broadcast costs twice the time
+    decay = np.empty_like(mv)
+    decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
+    gain = 1.0 - decay
+    scratch = {}
 
-    def rows(lo, hi):
+    def step(lo, hi, cols, j):
         th = theta[lo:hi]
-        return slice(lo, hi), th, m[lo:hi], v[lo:hi], unpack(th, hidden), sse[lo:hi]
+        a1, b1, a2, b2 = unpack(th, hidden)
+        shape = (hi - lo, cols.stop - cols.start)
+        if shape not in scratch:
+            scratch[shape] = _scratch(*shape, hidden, base)
+        return _Step(slice(lo, hi), cols, j, th, mv[:, lo:hi], decay[:, lo:hi], gain[:, lo:hi],
+                     (a1, b1[:, None, :], a2, b2[:, None, :]), sse[lo:hi], scratch[shape])
 
     steps = []
     for j in range(n_train[0] // batch_size):
         a = sum(n // batch_size > j for n in n_train)
-        steps.append((rows(0, a), slice(j * batch_size, (j + 1) * batch_size), j))
+        steps.append(step(0, a, slice(j * batch_size, (j + 1) * batch_size), j))
     for lo, hi, n in runs(n_train):
         full = n // batch_size
         if n > full * batch_size:
-            steps.append((rows(lo, hi), slice(full * batch_size, n), full))
+            steps.append(step(lo, hi, slice(full * batch_size, n), full))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
-    return steps, sse, per_epoch, np.array(n_train) * 3.0
+    return steps, sse, per_epoch, np.array(n_train) * 3.0, mv
 
 
-def _bias_corrections(beta, epoch, per_epoch):
-    """(batches, rows, 1) array of 1 - beta**t for the Adam step t of each
-    row's batch j in this epoch; rows lo:hi of ``per_epoch`` take q steps per
-    epoch, so they have taken epoch * q. The values are Python floats, the
-    bits a model alone would use."""
-    bc = np.ones((per_epoch[0][2], per_epoch[-1][1], 1))
+def _bias_corrections(epoch, per_epoch):
+    """(batches, 2, rows, 1) array of 1 - beta**t for beta = ADAM_BETA1 and
+    ADAM_BETA2 and the Adam step t of each row's batch j in this epoch; rows
+    lo:hi of ``per_epoch`` take q steps per epoch, so they have taken
+    epoch * q. The values are Python floats, the bits a model alone would
+    use."""
+    bc = np.ones((per_epoch[0][2], 2, per_epoch[-1][1], 1))
     for lo, hi, q in per_epoch:
-        bc[:q, lo:hi, 0] = [[1.0 - beta ** t] for t in range(epoch * q + 1, epoch * q + q + 1)]
+        for i, beta in enumerate((ADAM_BETA1, ADAM_BETA2)):
+            bc[:q, i, lo:hi, 0] = [[1.0 - beta ** t]
+                                   for t in range(epoch * q + 1, epoch * q + q + 1)]
     return bc
 
 
 def epoch_step(schedule, x, y, epoch, lr):
     """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
     parameters and moments in place through the views of ``schedule`` (from
-    :func:`plan`).
+    :func:`plan`). At the end, every moment entry in the subnormal range is
+    set to 0 (see the module docstring).
 
     x, y (R, n, 3) are each row's training inputs and targets in this epoch's
     shuffled order, padded to the longest set. Returns each row's mean
     squared pre-update batch error (R,).
     """
-    steps, sse, per_epoch, n3 = schedule
-    bc1 = _bias_corrections(ADAM_BETA1, epoch, per_epoch)
-    bc2 = _bias_corrections(ADAM_BETA2, epoch, per_epoch)
+    steps, sse, per_epoch, n3, mv = schedule
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+    bc = _bias_corrections(epoch, per_epoch)
     sse[:] = 0.0
-    for (r, theta, m, v, params, row_sse), cols, j in steps:
-        err, g = gradients(*params, x[r, cols], y[r, cols])
-        row_sse += np.add.reduce(err * err, axis=(1, 2))
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        theta -= lr * (m / bc1[j, r]) / (np.sqrt(v / bc2[j, r]) + ADAM_EPS)
+    for r, cols, j, theta, m_v, decay, gain, params, row_sse, s in steps:
+        _backprop(*params, x[r, cols], xt[r, :, cols], y[r, cols], s)
+        g = s.g
+        np.multiply(s.err, s.err, out=s.dout)
+        row_sse += np.add.reduce(s.dout, axis=(1, 2))
+        np.multiply(g[0], g[0], out=g[1])
+        g *= gain
+        m_v *= decay
+        m_v += g
+        np.divide(m_v, bc[j, :, r], out=g)
+        np.sqrt(g[1], out=g[1])
+        g[1] += ADAM_EPS
+        g[0] *= lr
+        g[0] /= g[1]
+        theta -= g[0]
+    np.copyto(mv, 0.0, where=np.abs(mv) < _TINY)
     return sse / n3

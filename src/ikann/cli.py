@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import compute_bound_report
+from .bound import WeightRangeWarning, compute_bound_report
 from .errors import IkannError, NonFiniteLoss, UnreachableGridPoint
 from .harness import (HarnessConfig, emit_report, export_dataset,
                       export_trajectory, load_model, run_sweep, save_model,
@@ -22,7 +22,7 @@ from .harness import (HarnessConfig, emit_report, export_dataset,
 from .kinematics import RobotGeometry
 from .neuralnet import TrainingConfig, train
 from .sampler import DEFAULT_BOX, WorkspaceBox, generate_grid
-from .trajectory import HEART, RECTANGLE
+from .trajectory import HEART, RECTANGLE, PathOutsideBoxWarning
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,8 +177,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
-        # one stderr line per warning, not the default two with package source
+        # one stderr line per warning, not the default two with package
+        # source, and never an exception, whatever -W or PYTHONWARNINGS say
         warnings.showwarning = _print_warning
+        for category in (PathOutsideBoxWarning, WeightRangeWarning):
+            warnings.simplefilter("default", category)
         try:
             geom = _parse_links(args.links) if args.links else RobotGeometry()
             box = _parse_box(args.box) if args.box else None

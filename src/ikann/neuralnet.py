@@ -276,8 +276,8 @@ def _train_stack(jobs) -> list:
     n_train = [len(t) for t in train_idx]
 
     theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for _, c in rows])
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    schedule = _kernels.plan(theta, m, v, cfg.hidden, n_train, cfg.batch_size)
+    mv = np.zeros((2,) + theta.shape)   # Adam's first and second moments
+    schedule = _kernels.plan(theta, mv, cfg.hidden, n_train, cfg.batch_size)
     blocks = []   # one validation call per run of equal val sizes
     for lo, hi, nv in _kernels.runs(len(i) for i in val_idx):
         if nv:

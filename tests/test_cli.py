@@ -199,8 +199,9 @@ def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert not os.listdir(tmp_path)
 
 
-@pytest.mark.filterwarnings("default")   # main prints warnings; it must see them
 def test_warning_is_one_stderr_line(tmp_path, capsys):
+    # main sets its own filter for the package's warnings, so the suite's
+    # "error" filter does not turn this one into an exception
     # the heart path leaves a box whose x3 ends at 20 mm
     model = tmp_path / "m.json"
     assert main(["train", "--samples-per-axis", "2", "--epochs", "3", "--out", str(model)]) == 0
@@ -213,13 +214,33 @@ def test_warning_is_one_stderr_line(tmp_path, capsys):
     assert err.startswith("warning: ") and "outside the workspace box" in err
 
 
-def test_import_leaves_process_pools_out():
-    # the sweep forks with os.fork; the pool modules would only add import time
+def run_python(*args, cwd=None):
+    """Run the interpreter on args with this tree's ``src`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, ikann.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_warning_under_w_error_is_one_stderr_line(tmp_path):
+    # -W error turns every warning into an exception; the CLI still prints
+    # its own as one line and exits 0
+    assert main(["train", "--samples-per-axis", "2", "--epochs", "3",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    run = run_python("-W", "error", "-m", "ikann.cli", "--box", "20,80,20,80,0,20",
+                     "eval", "--model", "m.json", "--path", "heart", "--emit", "t.csv",
+                     cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert "outside the workspace box" in lines[0]
+
+
+def test_import_leaves_process_pools_out():
+    # the sweep forks with os.fork; the pool modules would only add import time
+    code = ("import sys, ikann.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -3,13 +3,18 @@ alone."""
 
 import numpy as np
 
+from conftest import adam_step, init_adam_state
 from ikann import _kernels
-from ikann.neuralnet import init_params
+from ikann.neuralnet import NetworkParams, backward, init_params
+
+
+def flat_of(p):
+    """NetworkParams or Gradients as one flat row in the kernels' layout."""
+    return np.concatenate((p.w1.T.ravel(), p.b1, p.w2.T.ravel(), p.b2))
 
 
 def flat_row(seed, hidden=16):
-    p = init_params(hidden, seed)
-    return np.concatenate((p.w1.T.ravel(), p.b1, p.w2.T.ravel(), p.b2))
+    return flat_of(init_params(hidden, seed))
 
 
 def test_unpack_gives_views():
@@ -47,8 +52,7 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
 
 def stacked_epoch(theta, n_train, x, y, epoch):
     """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    schedule = _kernels.plan(theta, m, v, 16, n_train, 8)
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
     return _kernels.epoch_step(schedule, x, y, epoch, 0.001)
 
 
@@ -99,15 +103,114 @@ def test_plan_of_default_sweep():
     # tail per k
     n_train = [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)]
     theta = np.zeros((len(n_train), 7 * 16 + 3))
-    steps, _, per_epoch, n3 = _kernels.plan(theta, theta.copy(), theta.copy(), 16, n_train, 8)
+    mv = np.zeros((2,) + theta.shape)
+    steps, _, per_epoch, n3, moments = _kernels.plan(theta, mv, 16, n_train, 8)
+    assert moments is mv
     assert len(steps) == 57 + 7
-    prefix = [(rows[0], cols, j) for rows, cols, j in steps[:57]]
+    prefix = [(step.rows, step.cols, step.j) for step in steps[:57]]
     assert prefix[0] == (slice(0, 30), slice(0, 8), 0)
     assert prefix[3] == (slice(0, 25), slice(24, 32), 3)
     assert prefix[56] == (slice(0, 5), slice(448, 456), 56)
-    tails = [(rows[0], cols, j) for rows, cols, j in steps[57:]]
+    tails = [(step.rows, step.cols, step.j) for step in steps[57:]]
     assert tails[0] == (slice(0, 5), slice(456, 460), 57)
     assert tails[-1] == (slice(30, 35), slice(0, 6), 0)
     # steps per epoch 58, 39, 25, 15, 8, 4 and 1; loss divisors 3 * n_train
     assert per_epoch == [(5 * i, 5 * i + 5, q) for i, q in enumerate((58, 39, 25, 15, 8, 4, 1))]
     np.testing.assert_array_equal(n3, np.array(n_train) * 3.0)
+
+
+def test_steps_share_one_set_of_scratch():
+    # the default sweep's child stack: the 30 rows of k = 2..7, 44 steps per
+    # epoch; every step's temporaries are views of the same per-stack buffers
+    n_train = [n for n in (309, 194, 113, 58, 25, 6) for _ in range(5)]
+    theta = np.zeros((len(n_train), 7 * 16 + 3))
+    steps = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)[0]
+    assert len(steps) == 44
+    def arrays(scratch):
+        return [a for f in scratch for a in (f if isinstance(f, tuple) else (f,))]
+
+    first, last = steps[0].scratch, steps[-1].scratch
+    assert first.pre.shape == (25, 8, 16) and last.pre.shape == (5, 6, 16)
+    for a, b in zip(arrays(first), arrays(last), strict=True):
+        assert np.shares_memory(a, b)
+
+
+def train_dead_unit(epochs, moment_entries):
+    """A stack of one model with a dead hidden unit, trained ``epochs`` epochs
+    by the kernel and by the unflushed Adam oracle side by side.
+
+    The unit's input weights are 0 and its bias is -1, so it never fires on
+    inputs in [0, 1]^3 and all its gradients are exactly 0. The first moments
+    of its ``moment_entries`` ("b1", "w2", "w1") start at 1e-300 and decay
+    by 0.9 per step, through the subnormal range by step ~170 and down to a
+    few ulps by step ~500. After every epoch, the kernel's moments hold no
+    subnormal. Yields per epoch (kernel theta, oracle theta, whether an
+    oracle moment is subnormal).
+    """
+    hidden, unit, n, lr = 16, 5, 25, 0.001
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, (n, 3))
+    y = rng.normal(0, 1, (n, 3))
+    p = init_params(hidden, 4)
+    w1, b1 = p.w1.copy(), p.b1.copy()
+    w1[unit], b1[unit] = 0.0, -1.0
+    p = NetworkParams(w1=w1, b1=b1, w2=p.w2, b2=p.b2)
+    state = init_adam_state(p)
+    planted = {"b1": state.m.b1[unit:unit + 1], "w2": state.m.w2[:, unit], "w1": state.m.w1[unit]}
+    for name in moment_entries:
+        planted[name][:] = 1e-300
+
+    theta = flat_of(p)[None]
+    mv = np.zeros((2,) + theta.shape)
+    mv[0, 0] = flat_of(state.m)
+    schedule = _kernels.plan(theta, mv, hidden, [n], 8)
+    tiny = np.finfo(float).tiny
+    for epoch in range(epochs):
+        _kernels.epoch_step(schedule, x[None], y[None], epoch, lr)
+        assert not np.any((mv != 0) & (np.abs(mv) < tiny)), epoch
+        for start in range(0, n, 8):
+            g = backward(p, x[start:start + 8], y[start:start + 8])
+            p, state = adam_step(p, g, state, lr)
+        m = flat_of(state.m)
+        yield theta[0], flat_of(p), bool(np.any((m != 0) & (np.abs(m) < tiny)))
+
+
+def test_moments_leave_the_subnormal_range_and_no_parameter_bit_moves():
+    # the dead unit's bias (-1) and output weights keep their normal size, so
+    # the flush moves none of their bits; its zero input weights keep zero
+    # moments and stay exactly 0
+    oracle_subnormal = 0
+    for got, want, subnormal in train_dead_unit(450, ("b1", "w2")):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        oracle_subnormal += subnormal
+    # the oracle's moments sat in the subnormal range for most of the run
+    assert oracle_subnormal > 300
+
+
+def test_flush_moves_only_weights_below_its_bound():
+    # a zero weight with a nonzero moment is the one case the flush can move:
+    # the unit's input weights drift from 0 to about -2e-294, where a step
+    # from a subnormal moment still counts. Every weight that differs from
+    # the oracle's is below the bound lr * 4e-283 of the module docstring.
+    *_, (got, want, _) = train_dead_unit(450, ("b1", "w2", "w1"))
+    moved = got != want
+    assert moved.sum() == 3
+    assert np.all(np.abs(got[moved]) < 0.001 * 4e-283)
+    assert np.all(np.abs(want[moved]) < 0.001 * 4e-283)
+
+
+def test_relu_mask_zeroes_where_pre_activation_is_not_positive():
+    # a diverged row: one unit's bias is NaN, so its pre-activation is NaN,
+    # and the NaN output error reaches every hidden gradient; the mask keeps
+    # exactly the entries where pre > 0 is True, as np.where(pre > 0, dh, 0)
+    # does, so the NaN unit's input gradients are 0
+    rng = np.random.default_rng(3)
+    a1, b1, a2, b2 = (t.copy() for t in _kernels.unpack(flat_row(2)[None], 16))
+    b1[0, 7] = np.nan
+    x = rng.uniform(0, 1, (1, 8, 3))
+    _, g = _kernels.gradients(a1, b1, a2, b2, x, rng.normal(0, 1, (1, 8, 3)))
+    ga1, gb1, _, _ = _kernels.unpack(g, 16)
+    fires = np.any(x[0] @ a1[0] + b1[0] > 0.0, axis=0)
+    assert not fires[7] and fires.sum() > 8
+    assert np.all(gb1[0, ~fires] == 0.0) and np.all(ga1[0][:, ~fires] == 0.0)
+    assert np.all(np.isnan(gb1[0, fires]))

@@ -176,8 +176,7 @@ def test_adam_epoch_matches_kernel(k3_dataset):
 
     p2 = init_params(4, 3)
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    schedule = _kernels.plan(theta, m, v, 4, [ds.n], cfg.batch_size)
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 4, [ds.n], cfg.batch_size)
     assert len(schedule[0]) == state.t
     _kernels.epoch_step(schedule, x[order][None], y[order][None], 0, cfg.learning_rate)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
