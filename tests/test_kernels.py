@@ -126,6 +126,7 @@ def test_steps_share_one_set_of_scratch():
     theta = np.zeros((len(n_train), 7 * 16 + 3))
     steps = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)[0]
     assert len(steps) == 44
+
     def arrays(scratch):
         return [a for f in scratch for a in (f if isinstance(f, tuple) else (f,))]
 
