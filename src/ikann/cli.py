@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# seeds per k in one sweep; the sweep holds every cell's training state at once
+_MAX_REPEATS = 1000
+
 
 def _parse_box(text: str) -> WorkspaceBox:
     vals = [float(v) for v in text.split(",")]
@@ -133,8 +136,8 @@ def _cmd_bound(args, box_override):
 
 def _cmd_sweep(args, geom, box, seed):
     ks = sorted({int(v) for v in args.axis_counts.split(",")})   # the ks run_sweep runs
-    if args.repeats < 1:
-        raise ValueError("--repeats must be >= 1")
+    if not 1 <= args.repeats <= _MAX_REPEATS:
+        raise ValueError(f"--repeats must lie in [1, {_MAX_REPEATS}]")
     base = 1 if seed is None else seed
     seeds = list(range(base, base + args.repeats))
     cfg = HarnessConfig(geom=geom, box=box, path_kind=args.path)

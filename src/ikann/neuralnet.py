@@ -5,13 +5,17 @@ early stopping on validation loss.
 All arithmetic is float64. Given identical dataset, config, and seed the
 trained parameters are bitwise reproducible, whether a model is trained alone
 or in lockstep with others, and in whichever process it trains.
-:func:`train_lockstep` trains the models with the largest training set in the
-calling process and, on a machine with two or more usable CPUs, the rest in
-one forked child at the same time.
+:func:`train_lockstep` may train its models in two stacks at the same time,
+one in the calling process and one in a forked child, on a machine with two or
+more usable CPUs. The models of each training-set size go whole to one side,
+chosen by a model of the stacked steps' cost so that the slower side is as
+fast as it can be, and only when that beats one stack by more than the fork's
+round trip.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -184,11 +188,14 @@ def train_lockstep(jobs) -> list:
     Adam step count and early-stopping state, and computes exactly what it
     would alone; a model that stops keeps its row in the stack.
 
-    When some models have smaller sets than others, this process may use two
-    or more CPUs and ``os.fork`` exists, those models train in one forked
-    child while this process trains the ones with the largest set; otherwise
-    all train here in one stack. No step mixes two models' data, so a model's
-    bits do not depend on where it trains.
+    When this process may use two or more CPUs and ``os.fork`` exists, the
+    jobs may train in two stacks at the same time, one here and one in a
+    forked child. The jobs of one training-set size form a block, and the
+    split is the division of the blocks into two sides that minimizes the
+    modelled time of the slower side (:func:`_split`); it is taken only when
+    it beats one stack by more than the fork's round trip. Otherwise, as for
+    a single job, all train here in one stack. No step mixes two models'
+    data, so a model's bits do not depend on where it trains.
 
     Returns one entry per pair, in order: (NetworkParams, TrainingTrace), or
     the NonFiniteLoss raised when either of that model's losses left the
@@ -202,14 +209,58 @@ def train_lockstep(jobs) -> list:
         raise ValueError("configs trained in lockstep may differ only in seed")
 
     n_train = [split_sizes(ds.n, c)[0] for ds, c in jobs]
-    largest = [i for i, n in enumerate(n_train) if n == max(n_train)]
-    rest = [i for i in range(len(jobs)) if i not in largest]
     affinity = getattr(os, "sched_getaffinity", None)
-    if not rest or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+    two_cpus = hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+    here = _split(n_train, cfg) if two_cpus else None
+    if here is None:
         return _train_stack(jobs)
-    trained = dict(zip(largest + rest, _train_in_two([jobs[i] for i in largest],
-                                                      [jobs[i] for i in rest])))
+    mine = [i for i, n in enumerate(n_train) if n in here]
+    rest = [i for i, n in enumerate(n_train) if n not in here]
+    trained = dict(zip(mine + rest, _train_in_two([jobs[i] for i in mine],
+                                                  [jobs[i] for i in rest])))
     return [trained[i] for i in range(len(jobs))]
+
+
+# The modelled time of one epoch of a stack, in µs at the benchmark's reference
+# CPU speed (perfbench/speed.py): per stacked step, per row of a step, and per
+# row (its shuffle, gathers, validation and bookkeeping). Fitted by least
+# squares to 223 stacks of default-sweep cells, each trained alone (2 cores,
+# numpy 2.4.6, OpenBLAS with 2 threads); the fork's round trip was measured
+# with results of 500 epochs.
+_STEP_US, _ROW_STEP_US, _ROW_US = 41.8, 4.7, 24.4
+_FORK_US = 6000.0   # fork, pickling the results and reaping the child
+
+
+def _run_us(blocks, cfg) -> float:
+    """Modelled time of ``cfg.max_epochs`` epochs of a stack whose rows come
+    in blocks (n, rows) (see ``_kernels.epoch_counts``), in µs."""
+    steps, row_steps = _kernels.epoch_counts(blocks, cfg.batch_size)
+    rows = sum(r for _, r in blocks)
+    return (_STEP_US * steps + _ROW_STEP_US * row_steps + _ROW_US * rows) * cfg.max_epochs
+
+
+def _split(n_train, cfg):
+    """The training-set sizes whose jobs train in this process when the jobs
+    of ``n_train`` are split over two, or None when one stack is as fast.
+
+    The jobs of one size form a block, and no block is divided. Of the
+    divisions of the blocks into two nonempty sides, the one whose slower side
+    has the least modelled time (:func:`_run_us`) is chosen, the first found
+    on a tie, and the slower side trains here. It is taken only when it beats
+    one stack by more than ``_FORK_US``. All 2^(blocks - 1) divisions are
+    tried, so a sweep of seven ks costs 64 of them.
+    """
+    blocks = [(n, n_train.count(n)) for n in sorted(set(n_train), reverse=True)]
+    first, others = blocks[0], blocks[1:]
+    best, here = _run_us(blocks, cfg) - _FORK_US, None
+    for mask in itertools.product((True, False), repeat=len(others)):
+        side = [first, *itertools.compress(others, mask)]
+        other = [b for b, m in zip(others, mask) if not m]
+        if other:
+            slow_us, slow = max((_run_us(side, cfg), side), (_run_us(other, cfg), other))
+            if slow_us < best:
+                best, here = slow_us, {n for n, _ in slow}
+    return here
 
 
 def _train_in_two(here, there) -> list:
@@ -287,49 +338,56 @@ def _train_stack(jobs) -> list:
 
     best = np.zeros_like(theta)
     rngs = [np.random.default_rng([c.seed, 2]) for _, c in rows]
-    traces = [TrainingTrace() for _ in rows]
-    results = [None] * len(rows)
-    best_val = [math.inf] * len(rows)
-    prev_val = [math.inf] * len(rows)
-    bad_epochs = [0] * len(rows)
-    running = range(len(rows))
+    # the early-stopping state of every row, updated by masks once per epoch;
+    # losses[e, 0 | 1, r] is row r's train | validation loss in epoch e
+    best_val = np.full(len(rows), math.inf)
+    prev_val = np.full(len(rows), math.inf)
+    bad_epochs = np.zeros(len(rows), dtype=int)
+    epochs_run = np.zeros(len(rows), dtype=int)
+    stopped = np.zeros(len(rows), dtype=bool)
+    running = np.ones(len(rows), dtype=bool)
+    losses = np.empty((min(cfg.max_epochs, 1024), 2, len(rows)))
     orders = np.zeros((len(rows), n_train[0]), dtype=np.intp)
     for epoch in range(cfg.max_epochs):
-        for r in running:   # a stopped row repeats its last order
+        if epoch == len(losses):   # grown on demand: a run may stop long before max_epochs
+            losses = np.concatenate((losses, np.empty_like(losses)))
+        for r in np.flatnonzero(running).tolist():   # a stopped row repeats its last order
             orders[r, :n_train[r]] = rngs[r].permutation(train_idx[r])
+        loss = losses[epoch]
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            train_loss = _kernels.epoch_step(schedule, np.take(x_all, orders, axis=0),
-                                             np.take(y_all, orders, axis=0),
-                                             epoch, cfg.learning_rate)
-            val_loss = train_loss.copy()
+            loss[0] = _kernels.epoch_step(schedule, np.take(x_all, orders, axis=0),
+                                          np.take(y_all, orders, axis=0),
+                                          epoch, cfg.learning_rate)
+            loss[1] = loss[0]
             for sl, params, x_val, y_val in blocks:
-                val_loss[sl] = _kernels.mse(*params, x_val, y_val)
-        for r in running:
-            tl, vl = float(train_loss[r]), float(val_loss[r])
-            trace = traces[r]
-            trace.train_loss.append(tl)
-            trace.val_loss.append(vl)
-            trace.epochs_run = epoch + 1
-            if not (math.isfinite(tl) and math.isfinite(vl)):
-                results[r] = NonFiniteLoss(f"loss diverged at epoch {epoch + 1} "
-                                           f"(train={tl}, val={vl})")
-                continue
-            if vl < best_val[r]:
-                best_val[r] = vl
-                best[r] = theta[r]
-            if vl < prev_val[r] - cfg.min_delta:
-                bad_epochs[r] = 0
-            else:
-                bad_epochs[r] += 1
-                trace.stopped_early = cfg.early_stopping and bad_epochs[r] >= cfg.patience
-            prev_val[r] = vl
-        running = [r for r in running if results[r] is None and not traces[r].stopped_early]
-        if not running:
+                loss[1, sl] = _kernels.mse(*params, x_val, y_val)
+            epochs_run[running] = epoch + 1
+            ok = running & np.isfinite(loss).all(axis=0)
+            val = loss[1]
+            better = ok & (val < best_val)
+            best_val[better] = val[better]
+            best[better] = theta[better]
+            worse = ok & ~(val < prev_val - cfg.min_delta)
+            bad_epochs[ok & ~worse] = 0
+            bad_epochs[worse] += 1
+            prev_val[ok] = val[ok]
+        if cfg.early_stopping:
+            stopped |= worse & (bad_epochs >= cfg.patience)
+        running = ok & ~stopped
+        if not running.any():
             break
 
     if not cfg.early_stopping:
         best = theta
-    trained = [res if res is not None else (_params_from_row(best[r], cfg.hidden), traces[r])
-               for r, res in enumerate(results)]
+    trained = []
+    for r, epochs in enumerate(epochs_run.tolist()):
+        # a row stops running at its first non-finite loss, so only its last can be
+        train_loss, val_loss = losses[:epochs, 0, r].tolist(), losses[:epochs, 1, r].tolist()
+        if math.isfinite(train_loss[-1]) and math.isfinite(val_loss[-1]):
+            trained.append((_params_from_row(best[r], cfg.hidden),
+                            TrainingTrace(train_loss, val_loss, epochs, bool(stopped[r]))))
+        else:
+            trained.append(NonFiniteLoss(f"loss diverged at epoch {epochs} "
+                                         f"(train={train_loss[-1]}, val={val_loss[-1]})"))
     return [trained[order.index(i)] for i in range(len(jobs))]

@@ -244,3 +244,12 @@ def test_import_leaves_process_pools_out():
     run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("repeats", ["0", "1001", "100000000000000000000"])
+def test_sweep_repeats_out_of_range_exit_2(tmp_path, capsys, repeats):
+    rc = main(["sweep", "--repeats", repeats, "--report", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: --repeats must lie in [1, 1000]\n"
+    assert not (tmp_path / "r.csv").exists()
