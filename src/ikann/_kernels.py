@@ -96,6 +96,8 @@ class _Scratch(NamedTuple):
     g: np.ndarray       # (2, S, P) gradient rows and their squares, then the
                         # Adam step's quotients of m and v
     grads: tuple        # unpack(g[0]): where backprop writes the gradients
+    g0: np.ndarray      # g[0] and g[1], made once: a view costs as much as a
+    g1: np.ndarray      # small ufunc call
 
 
 def _scratch(rows, batch, hidden, base=None):
@@ -110,7 +112,8 @@ def _scratch(rows, batch, hidden, base=None):
         flat = (np.empty(math.prod(shape), dtype=bool if name == "off" else float)
                 if base is None else getattr(base, name).reshape(-1))
         views[name] = flat[:math.prod(shape)].reshape(shape)
-    return _Scratch(**views, grads=unpack(views["g"][0], hidden))
+    g = views["g"]
+    return _Scratch(**views, grads=unpack(g[0], hidden), g0=g[0], g1=g[1])
 
 
 def _backprop(a1, b1, a2, b2, x, xt, y, s):
@@ -118,7 +121,7 @@ def _backprop(a1, b1, a2, b2, x, xt, y, s):
     (S, B, 3), written into ``s.err`` and ``s.grads`` (a :class:`_Scratch`).
     b1 and b2 are (S, 1, H) and (S, 1, 3) views; xt is x transposed to
     (S, 3, B) with unit inner stride. The ReLU subgradient at 0 is 0."""
-    pre, h, ht, dh, off, err, dout, a2t, _, (ga1, gb1, ga2, gb2) = s
+    pre, h, ht, dh, off, err, dout, a2t, _, (ga1, gb1, ga2, gb2), _, _ = s
     np.matmul(x, a1, out=pre)
     pre += b1
     np.maximum(pre, 0.0, out=h)
@@ -167,7 +170,9 @@ class _Step(NamedTuple):
     data it reads, its batch index j in each row's epoch, views of the rows'
     parameters, moments (2, S, P) with their factors (beta1, beta2) and
     (1 - beta1, 1 - beta2), broadcast parameters (a1, b1[:, None], a2,
-    b2[:, None]) and loss sums, and its :class:`_Scratch`."""
+    b2[:, None]) and loss sums, its :class:`_Scratch`, and views of the
+    schedule's buffers: its batch (x, x transposed, y) and its bias
+    corrections (2, S, 1)."""
 
     rows: slice
     cols: slice
@@ -179,6 +184,27 @@ class _Step(NamedTuple):
     params: tuple
     sse: np.ndarray
     scratch: _Scratch
+    batch: tuple
+    bc: np.ndarray
+
+
+class _Schedule(NamedTuple):
+    """One epoch of a stack, from :func:`plan`: its :class:`_Step` list, each
+    row's sum of squared errors, the runs (lo, hi, q) of rows taking q steps
+    per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
+    and the buffers the steps read: the epoch's shuffled inputs x, targets y
+    (R, n, 3) and inputs transposed xt (R, 3, n), and the bias corrections
+    (batches, 2, R, 1) of :func:`_bias_corrections`."""
+
+    steps: list
+    sse: np.ndarray
+    per_epoch: list
+    n3: np.ndarray
+    mv: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    xt: np.ndarray
+    bc: np.ndarray
 
 
 def plan(theta, mv, hidden, n_train, batch_size):
@@ -187,18 +213,22 @@ def plan(theta, mv, hidden, n_train, batch_size):
 
     Batch j runs as one step on the prefix of rows that have a full batch j;
     after the full batches, each block of rows of one size takes its short
-    last batch together. Returns the schedule for :func:`epoch_step`: its
-    :class:`_Step` list; the buffer ``sse`` of each row's sum of squared
-    errors; the runs (lo, hi, q) of rows taking q steps per epoch; each row's
-    loss divisor 3 * n_train; and the moments ``mv``. ``mv`` (2, R, P) holds
-    Adam's first moments in ``mv[0]`` and second moments in ``mv[1]``. Every
-    step's temporaries are leading views of one set of buffers for the stack,
-    and steps of one shape share their views. The views stay valid while
-    theta (R, P) and mv are updated in place, so one plan serves a whole run.
+    last batch together. Returns the :class:`_Schedule` for
+    :func:`epoch_step`. ``mv`` (2, R, P) holds Adam's first moments in
+    ``mv[0]`` and second moments in ``mv[1]``. Every step's temporaries are
+    leading views of one set of buffers for the stack, and steps of one shape
+    share their views; its data and bias corrections are views made here,
+    because making a view costs as much as a small ufunc call. The views stay
+    valid while theta (R, P) and mv are updated in place, so one plan serves
+    a whole run.
     """
     n_train = [int(n) for n in n_train]
-    sse = np.zeros(len(n_train))
-    base = _scratch(len(n_train), batch_size, hidden)
+    rows = len(n_train)
+    sse = np.zeros(rows)
+    base = _scratch(rows, batch_size, hidden)
+    x, y = np.empty((rows, n_train[0], 3)), np.empty((rows, n_train[0], 3))
+    xt = np.empty((rows, 3, n_train[0]))
+    bc = np.ones((-(-n_train[0] // batch_size), 2, rows, 1))
     # the Adam factors at full shape: a (2, 1, 1) broadcast costs twice the time
     decay = np.empty_like(mv)
     decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
@@ -211,8 +241,10 @@ def plan(theta, mv, hidden, n_train, batch_size):
         shape = (hi - lo, cols.stop - cols.start)
         if shape not in scratch:
             scratch[shape] = _scratch(*shape, hidden, base)
-        return _Step(slice(lo, hi), cols, j, th, mv[:, lo:hi], decay[:, lo:hi], gain[:, lo:hi],
-                     (a1, b1[:, None, :], a2, b2[:, None, :]), sse[lo:hi], scratch[shape])
+        r = slice(lo, hi)
+        return _Step(r, cols, j, th, mv[:, r], decay[:, r], gain[:, r],
+                     (a1, b1[:, None, :], a2, b2[:, None, :]), sse[r], scratch[shape],
+                     (x[r, cols], xt[r, :, cols], y[r, cols]), bc[j, :, r])
 
     steps = []
     for j in range(n_train[0] // batch_size):
@@ -223,7 +255,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
         if n > full * batch_size:
             steps.append(step(lo, hi, slice(full * batch_size, n), full))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
-    return steps, sse, per_epoch, np.array(n_train) * 3.0, mv
+    return _Schedule(steps, sse, per_epoch, np.array(n_train) * 3.0, mv, x, y, xt, bc)
 
 
 def epoch_counts(blocks, batch_size):
@@ -237,18 +269,16 @@ def epoch_counts(blocks, batch_size):
     return steps, sum(rows * -(-n // batch_size) for n, rows in blocks)
 
 
-def _bias_corrections(epoch, per_epoch):
-    """(batches, 2, rows, 1) array of 1 - beta**t for beta = ADAM_BETA1 and
-    ADAM_BETA2 and the Adam step t of each row's batch j in this epoch; rows
-    lo:hi of ``per_epoch`` take q steps per epoch, so they have taken
-    epoch * q. The values are Python floats, the bits a model alone would
-    use."""
-    bc = np.ones((per_epoch[0][2], 2, per_epoch[-1][1], 1))
+def _bias_corrections(epoch, per_epoch, bc):
+    """Write into ``bc`` (batches, 2, rows, 1) 1 - beta**t for beta =
+    ADAM_BETA1 and ADAM_BETA2 and the Adam step t of each row's batch j in
+    this epoch; rows lo:hi of ``per_epoch`` take q steps per epoch, so they
+    have taken epoch * q. The values are Python floats, the bits a model
+    alone would use."""
     for lo, hi, q in per_epoch:
         for i, beta in enumerate((ADAM_BETA1, ADAM_BETA2)):
             bc[:q, i, lo:hi, 0] = [[1.0 - beta ** t]
                                    for t in range(epoch * q + 1, epoch * q + q + 1)]
-    return bc
 
 
 def epoch_step(schedule, x, y, epoch, lr):
@@ -258,27 +288,30 @@ def epoch_step(schedule, x, y, epoch, lr):
     set to 0 (see the module docstring).
 
     x, y (R, n, 3) are each row's training inputs and targets in this epoch's
-    shuffled order, padded to the longest set. Returns each row's mean
-    squared pre-update batch error (R,).
+    shuffled order, padded to the longest set; they are copied into the
+    schedule's buffers. Returns each row's mean squared pre-update batch
+    error (R,).
     """
-    steps, sse, per_epoch, n3, mv = schedule
-    xt = np.ascontiguousarray(x.transpose(0, 2, 1))
-    bc = _bias_corrections(epoch, per_epoch)
+    steps, sse, per_epoch, n3, mv, xs, ys, xts, bcs = schedule
+    np.copyto(xs, x)
+    np.copyto(ys, y)
+    np.copyto(xts, x.transpose(0, 2, 1))
+    _bias_corrections(epoch, per_epoch, bcs)
     sse[:] = 0.0
-    for r, cols, j, theta, m_v, decay, gain, params, row_sse, s in steps:
-        _backprop(*params, x[r, cols], xt[r, :, cols], y[r, cols], s)
-        g = s.g
+    for _, _, _, theta, m_v, decay, gain, params, row_sse, s, batch, bc in steps:
+        _backprop(*params, *batch, s)
+        g, g0, g1 = s.g, s.g0, s.g1
         np.multiply(s.err, s.err, out=s.dout)
         row_sse += np.add.reduce(s.dout, axis=(1, 2))
-        np.multiply(g[0], g[0], out=g[1])
+        np.multiply(g0, g0, out=g1)
         g *= gain
         m_v *= decay
         m_v += g
-        np.divide(m_v, bc[j, :, r], out=g)
-        np.sqrt(g[1], out=g[1])
-        g[1] += ADAM_EPS
-        g[0] *= lr
-        g[0] /= g[1]
-        theta -= g[0]
+        np.divide(m_v, bc, out=g)
+        np.sqrt(g1, out=g1)
+        g1 += ADAM_EPS
+        g0 *= lr
+        g0 /= g1
+        theta -= g0
     np.copyto(mv, 0.0, where=np.abs(mv) < _TINY)
     return sse / n3

@@ -246,9 +246,11 @@ def _split(n_train, cfg):
     The jobs of one size form a block, and no block is divided. Of the
     divisions of the blocks into two nonempty sides, the one whose slower side
     has the least modelled time (:func:`_run_us`) is chosen, the first found
-    on a tie, and the slower side trains here. It is taken only when it beats
-    one stack by more than ``_FORK_US``. All 2^(blocks - 1) divisions are
-    tried, so a sweep of seven ks costs 64 of them.
+    on a tie. It is taken only when it beats one stack by more than
+    ``_FORK_US``. The faster side trains here: this process also runs what
+    else the program does meanwhile, such as signal handlers, so it keeps the
+    slack. All 2^(blocks - 1) divisions are tried, so a sweep of seven ks
+    costs 64 of them.
     """
     blocks = [(n, n_train.count(n)) for n in sorted(set(n_train), reverse=True)]
     first, others = blocks[0], blocks[1:]
@@ -257,9 +259,10 @@ def _split(n_train, cfg):
         side = [first, *itertools.compress(others, mask)]
         other = [b for b, m in zip(others, mask) if not m]
         if other:
-            slow_us, slow = max((_run_us(side, cfg), side), (_run_us(other, cfg), other))
+            (_, fast), (slow_us, _) = sorted(((_run_us(side, cfg), side),
+                                              (_run_us(other, cfg), other)))
             if slow_us < best:
-                best, here = slow_us, {n for n, _ in slow}
+                best, here = slow_us, {n for n, _ in fast}
     return here
 
 
