@@ -281,21 +281,18 @@ def _bias_corrections(epoch, per_epoch, bc):
                                    for t in range(epoch * q + 1, epoch * q + q + 1)]
 
 
-def epoch_step(schedule, x, y, epoch, lr):
+def epoch_step(schedule, epoch, lr):
     """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
     parameters and moments in place through the views of ``schedule`` (from
     :func:`plan`). At the end, every moment entry in the subnormal range is
     set to 0 (see the module docstring).
 
-    x, y (R, n, 3) are each row's training inputs and targets in this epoch's
-    shuffled order, padded to the longest set; they are copied into the
-    schedule's buffers. Returns each row's mean squared pre-update batch
-    error (R,).
+    ``schedule.x`` and ``schedule.y`` (R, n, 3) must hold each row's training
+    inputs and targets in this epoch's shuffled order, padded to the longest
+    set. Returns each row's mean squared pre-update batch error (R,).
     """
-    steps, sse, per_epoch, n3, mv, xs, ys, xts, bcs = schedule
-    np.copyto(xs, x)
-    np.copyto(ys, y)
-    np.copyto(xts, x.transpose(0, 2, 1))
+    steps, sse, per_epoch, n3, mv, x, _, xt, bcs = schedule
+    np.copyto(xt, x.transpose(0, 2, 1))
     _bias_corrections(epoch, per_epoch, bcs)
     sse[:] = 0.0
     for _, _, _, theta, m_v, decay, gain, params, row_sse, s, batch, bc in steps:

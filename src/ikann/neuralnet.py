@@ -359,9 +359,9 @@ def _train_stack(jobs) -> list:
         loss = losses[epoch]
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            loss[0] = _kernels.epoch_step(schedule, np.take(x_all, orders, axis=0),
-                                          np.take(y_all, orders, axis=0),
-                                          epoch, cfg.learning_rate)
+            np.take(x_all, orders, axis=0, out=schedule.x)
+            np.take(y_all, orders, axis=0, out=schedule.y)
+            loss[0] = _kernels.epoch_step(schedule, epoch, cfg.learning_rate)
             loss[1] = loss[0]
             for sl, params, x_val, y_val in blocks:
                 loss[1, sl] = _kernels.mse(*params, x_val, y_val)

@@ -55,7 +55,8 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
 def stacked_epoch(theta, n_train, x, y, epoch):
     """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
     schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
-    return _kernels.epoch_step(schedule, x, y, epoch, 0.001)
+    schedule.x[:], schedule.y[:] = x, y
+    return _kernels.epoch_step(schedule, epoch, 0.001)
 
 
 def assert_rows_match_reference(seeds, n_train, epoch, x, y):
@@ -174,9 +175,10 @@ def train_dead_unit(epochs, moment_entries):
     mv = np.zeros((2,) + theta.shape)
     mv[0, 0] = flat_of(state.m)
     schedule = _kernels.plan(theta, mv, hidden, [n], 8)
+    schedule.x[0], schedule.y[0] = x, y
     tiny = np.finfo(float).tiny
     for epoch in range(epochs):
-        _kernels.epoch_step(schedule, x[None], y[None], epoch, lr)
+        _kernels.epoch_step(schedule, epoch, lr)
         assert not np.any((mv != 0) & (np.abs(mv) < tiny)), epoch
         for start in range(0, n, 8):
             g = backward(p, x[start:start + 8], y[start:start + 8])
