@@ -258,17 +258,6 @@ def plan(theta, mv, hidden, n_train, batch_size):
     return _Schedule(steps, sse, per_epoch, np.array(n_train) * 3.0, mv, x, y, xt, bc)
 
 
-def epoch_counts(blocks, batch_size):
-    """(steps, row_steps) of the epoch :func:`plan` lays out for a stack whose
-    rows come in ``blocks``, pairs (n, rows) of a training-set size and its
-    number of rows, one pair per distinct size: the number of steps, one per
-    full batch of the largest set and one per size with a short last batch,
-    and the sum of the steps' row counts, each row's batches per epoch."""
-    steps = max(n for n, _ in blocks) // batch_size
-    steps += sum(n % batch_size > 0 for n, _ in blocks)
-    return steps, sum(rows * -(-n // batch_size) for n, rows in blocks)
-
-
 def _bias_corrections(epoch, per_epoch, bc):
     """Write into ``bc`` (batches, 2, rows, 1) 1 - beta**t for beta =
     ADAM_BETA1 and ADAM_BETA2 and the Adam step t of each row's batch j in

@@ -3,12 +3,10 @@ convergence-rate fitting, and CSV/JSON persistence.
 
 Runs are deterministic per (k, seed, config). The sweep builds every k's grid
 once, first, and then trains all its cells in one ``neuralnet.train_lockstep``
-call. Given two usable CPUs, that call may train the cells of some ks in this
-process and the others at the same time in one forked child, as a model of
-their training cost divides them: the default sweep trains k = 4..7 here and
-k = 2, 3 and 8 in the child. A model computes exactly what it computes alone,
-in either process, so the rows never depend on how cells are grouped. Rows
-are emitted sorted by (k, seed).
+call. That trains the largest k's cells in this process and, given two usable
+CPUs, the other cells at the same time in one forked child. A model computes
+exactly what it computes alone, in either process, so the rows never depend
+on how cells are grouped. Rows are emitted sorted by (k, seed).
 """
 
 from __future__ import annotations

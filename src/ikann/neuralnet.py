@@ -5,17 +5,13 @@ early stopping on validation loss.
 All arithmetic is float64. Given identical dataset, config, and seed the
 trained parameters are bitwise reproducible, whether a model is trained alone
 or in lockstep with others, and in whichever process it trains.
-:func:`train_lockstep` may train its models in two stacks at the same time,
-one in the calling process and one in a forked child, on a machine with two or
-more usable CPUs. The models of each training-set size go whole to one side,
-chosen by a model of the stacked steps' cost so that the slower side is as
-fast as it can be, and only when that beats one stack by more than the fork's
-round trip.
+:func:`train_lockstep` trains the models with the largest training set in the
+calling process and, on a machine with two or more usable CPUs, the rest in
+one forked child at the same time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -188,14 +184,11 @@ def train_lockstep(jobs) -> list:
     Adam step count and early-stopping state, and computes exactly what it
     would alone; a model that stops keeps its row in the stack.
 
-    When this process may use two or more CPUs and ``os.fork`` exists, the
-    jobs may train in two stacks at the same time, one here and one in a
-    forked child. The jobs of one training-set size form a block, and the
-    split is the division of the blocks into two sides that minimizes the
-    modelled time of the slower side (:func:`_split`); it is taken only when
-    it beats one stack by more than the fork's round trip. Otherwise, as for
-    a single job, all train here in one stack. No step mixes two models'
-    data, so a model's bits do not depend on where it trains.
+    When some models have smaller sets than others, this process may use two
+    or more CPUs and ``os.fork`` exists, those models train in one forked
+    child while this process trains the ones with the largest set; otherwise
+    all train here in one stack. No step mixes two models' data, so a model's
+    bits do not depend on where it trains.
 
     Returns one entry per pair, in order: (NetworkParams, TrainingTrace), or
     the NonFiniteLoss raised when either of that model's losses left the
@@ -209,61 +202,14 @@ def train_lockstep(jobs) -> list:
         raise ValueError("configs trained in lockstep may differ only in seed")
 
     n_train = [split_sizes(ds.n, c)[0] for ds, c in jobs]
+    largest = [i for i, n in enumerate(n_train) if n == max(n_train)]
+    rest = [i for i in range(len(jobs)) if i not in largest]
     affinity = getattr(os, "sched_getaffinity", None)
-    two_cpus = hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
-    here = _split(n_train, cfg) if two_cpus else None
-    if here is None:
+    if not rest or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
         return _train_stack(jobs)
-    mine = [i for i, n in enumerate(n_train) if n in here]
-    rest = [i for i, n in enumerate(n_train) if n not in here]
-    trained = dict(zip(mine + rest, _train_in_two([jobs[i] for i in mine],
-                                                  [jobs[i] for i in rest])))
+    trained = dict(zip(largest + rest, _train_in_two([jobs[i] for i in largest],
+                                                      [jobs[i] for i in rest])))
     return [trained[i] for i in range(len(jobs))]
-
-
-# The modelled time of one epoch of a stack, in µs at the benchmark's reference
-# CPU speed (perfbench/speed.py): per stacked step, per row of a step, and per
-# row (its shuffle, gathers, validation and bookkeeping). Fitted by least
-# squares to 223 stacks of default-sweep cells, each trained alone (2 cores,
-# numpy 2.4.6, OpenBLAS with 2 threads); the fork's round trip was measured
-# with results of 500 epochs.
-_STEP_US, _ROW_STEP_US, _ROW_US = 41.8, 4.7, 24.4
-_FORK_US = 6000.0   # fork, pickling the results and reaping the child
-
-
-def _run_us(blocks, cfg) -> float:
-    """Modelled time of ``cfg.max_epochs`` epochs of a stack whose rows come
-    in blocks (n, rows) (see ``_kernels.epoch_counts``), in µs."""
-    steps, row_steps = _kernels.epoch_counts(blocks, cfg.batch_size)
-    rows = sum(r for _, r in blocks)
-    return (_STEP_US * steps + _ROW_STEP_US * row_steps + _ROW_US * rows) * cfg.max_epochs
-
-
-def _split(n_train, cfg):
-    """The training-set sizes whose jobs train in this process when the jobs
-    of ``n_train`` are split over two, or None when one stack is as fast.
-
-    The jobs of one size form a block, and no block is divided. Of the
-    divisions of the blocks into two nonempty sides, the one whose slower side
-    has the least modelled time (:func:`_run_us`) is chosen, the first found
-    on a tie. It is taken only when it beats one stack by more than
-    ``_FORK_US``. The faster side trains here: this process also runs what
-    else the program does meanwhile, such as signal handlers, so it keeps the
-    slack. All 2^(blocks - 1) divisions are tried, so a sweep of seven ks
-    costs 64 of them.
-    """
-    blocks = [(n, n_train.count(n)) for n in sorted(set(n_train), reverse=True)]
-    first, others = blocks[0], blocks[1:]
-    best, here = _run_us(blocks, cfg) - _FORK_US, None
-    for mask in itertools.product((True, False), repeat=len(others)):
-        side = [first, *itertools.compress(others, mask)]
-        other = [b for b, m in zip(others, mask) if not m]
-        if other:
-            (_, fast), (slow_us, _) = sorted(((_run_us(side, cfg), side),
-                                              (_run_us(other, cfg), other)))
-            if slow_us < best:
-                best, here = slow_us, {n for n, _ in fast}
-    return here
 
 
 def _train_in_two(here, there) -> list:

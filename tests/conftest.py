@@ -3,7 +3,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ikann import _kernels
 from ikann._kernels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from ikann.kinematics import DEFAULT_GEOMETRY
 from ikann.neuralnet import Gradients, NetworkParams, TrainingConfig, predict, train
@@ -75,15 +74,6 @@ def adam_step(p, grads, state, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_
         new_m[name], new_v[name] = m, v
         new_p[name] = getattr(p, name) - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return NetworkParams(**new_p), AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t)
-
-
-def plan_counts(n_train, batch_size):
-    """(steps, row_steps) counted on the epoch :func:`_kernels.plan` lays out
-    for rows of training-set sizes ``n_train``."""
-    n_train = sorted(n_train, reverse=True)
-    theta = np.zeros((len(n_train), 7 + 3))
-    steps = _kernels.plan(theta, np.zeros((2,) + theta.shape), 1, n_train, batch_size)[0]
-    return len(steps), sum(step.rows.stop - step.rows.start for step in steps)
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,8 @@
 alone."""
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import adam_step, init_adam_state, plan_counts
+from conftest import adam_step, init_adam_state
 from ikann import _kernels
 from ikann.neuralnet import NetworkParams, backward, init_params
 
@@ -120,13 +118,6 @@ def test_plan_of_default_sweep():
     # steps per epoch 58, 39, 25, 15, 8, 4 and 1; loss divisors 3 * n_train
     assert per_epoch == [(5 * i, 5 * i + 5, q) for i, q in enumerate((58, 39, 25, 15, 8, 4, 1))]
     np.testing.assert_array_equal(n3, np.array(n_train) * 3.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 300), min_size=1, max_size=20), st.integers(1, 20))
-def test_epoch_counts_match_plan(n_train, batch_size):
-    blocks = [(n, n_train.count(n)) for n in set(n_train)]
-    assert _kernels.epoch_counts(blocks, batch_size) == plan_counts(n_train, batch_size)
 
 
 def test_steps_share_one_set_of_scratch():

@@ -1,15 +1,11 @@
-import itertools
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import adam_step, init_adam_state, loss, plan_counts
+from conftest import adam_step, init_adam_state, loss
 from ikann import _kernels, neuralnet
 from ikann.errors import InsufficientData, NonFiniteLoss, UnreachableGridPoint
 from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
@@ -371,10 +367,9 @@ def test_train_many_rejects_mixed_configs(box):
 
 
 # --- the split over two processes -------------------------------------------
-# train_lockstep divides the jobs' blocks of one training-set size between this
-# process and one forked child when the modelled time says that pays and the
-# process may use two CPUs; the tests below pin two of them, so they take the
-# split path on any machine
+# train_lockstep trains the largest-set jobs here and the rest in one forked
+# child when the process may use two CPUs; the tests below pin two of them, so
+# they take the split path on any machine
 
 @pytest.fixture
 def two_cpus(monkeypatch):
@@ -385,12 +380,6 @@ def two_cpus(monkeypatch):
 def mixed_jobs(box):
     grids = {k: generate_grid(box, k) for k in (2, 3)}
     return [(grids[k], TrainingConfig(seed=s, max_epochs=3)) for s in (1, 2) for k in (2, 3)]
-
-
-@pytest.fixture
-def forking_jobs(mixed_jobs):
-    # the same jobs at 500 epochs, where a split pays for the fork
-    return [(ds, replace(cfg, max_epochs=500)) for ds, cfg in mixed_jobs]
 
 
 def recorded_forks(monkeypatch):
@@ -411,19 +400,13 @@ def assert_reaped(pid):
         os.waitpid(pid, os.WNOHANG)
 
 
-def forbid_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("os.fork called")
-    monkeypatch.setattr(os, "fork", no_fork)
-
-
 @pytest.mark.parametrize("seeds, learning_rate", [((1, 2), 0.001), ((3, 4), 1.6e76),
                                                   ((5, 6), 1.6e76)])
 def test_split_matches_one_stack(monkeypatch, box, two_cpus, seeds, learning_rate):
     # interleaved k = 2, 3, 5; at the huge learning rate some jobs diverge and
     # a k = 2 or k = 3 job stops early, in the child's group
     grids = {k: generate_grid(box, k) for k in (2, 3, 5)}
-    jobs = [(grids[k], TrainingConfig(seed=s, max_epochs=200, patience=2,
+    jobs = [(grids[k], TrainingConfig(seed=s, max_epochs=20, patience=2,
                                       learning_rate=learning_rate))
             for s in seeds for k in (2, 3, 5)]
     stack = neuralnet._train_stack(jobs)
@@ -439,71 +422,37 @@ def test_split_matches_one_stack(monkeypatch, box, two_cpus, seeds, learning_rat
     assert len(forks) == 1
 
 
-def test_split_trains_the_chosen_cells_here_and_the_rest_in_one_child(monkeypatch, box,
-                                                                         two_cpus):
-    # the default sweep's 35 jobs: the k = 4..7 cells train here, and the k = 2,
-    # 3 and 8 cells in one child
-    grids = {k: generate_grid(box, k) for k in range(2, 9)}
-    jobs = [(grids[k], TrainingConfig(seed=s)) for k in range(2, 9) for s in range(1, 6)]
-    here = {k ** 3 for k in range(4, 8)}
+def test_split_trains_the_smaller_sets_in_one_child(monkeypatch, two_cpus, mixed_jobs):
     forks = recorded_forks(monkeypatch)
     monkeypatch.setattr(neuralnet, "_train_stack",
                         lambda jobs: [(os.getpid(), ds.n) for ds, _ in jobs])
-    got = train_lockstep(jobs)
-    assert [n for _, n in got] == [ds.n for ds, _ in jobs]
-    assert {pid for pid, n in got if n in here} == {os.getpid()}
-    assert {pid for pid, n in got if n not in here} == set(forks) and len(forks) == 1
+    got = train_lockstep(mixed_jobs)
+    assert [n for _, n in got] == [ds.n for ds, _ in mixed_jobs]
+    assert {pid for pid, n in got if n == 27} == {os.getpid()}
+    assert {pid for pid, n in got if n == 8} == set(forks) and len(forks) == 1
     assert_reaped(forks[0])
 
 
-def test_split_that_does_not_pay_never_forks(monkeypatch, two_cpus, mixed_jobs):
-    # at 3 epochs the best split saves less than the fork costs
-    cfg = mixed_jobs[0][1]
-    assert neuralnet._split([split_sizes(ds.n, cfg)[0] for ds, _ in mixed_jobs], cfg) is None
-    forbid_fork(monkeypatch)
+def test_one_cpu_never_forks(monkeypatch, mixed_jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_fork():
+        raise AssertionError("os.fork called with one CPU")
+    monkeypatch.setattr(os, "fork", no_fork)
     got = train_lockstep(mixed_jobs)
     assert [t.epochs_run for _, t in got] == [3] * 4
 
 
-def modelled_us(n_train, cfg):
-    """The modelled run time of one stack of jobs of training-set sizes
-    ``n_train``, from the steps ``_kernels.plan`` lays out."""
-    steps, row_steps = plan_counts(n_train, cfg.batch_size)
-    return (neuralnet._STEP_US * steps + neuralnet._ROW_STEP_US * row_steps
-            + neuralnet._ROW_US * len(n_train)) * cfg.max_epochs
+def test_one_set_size_never_forks(monkeypatch, box, two_cpus):
+    # no smaller set to split off: the seeds of one k train here as one stack
+    ds = generate_grid(box, 3)
+    jobs = [(ds, TrainingConfig(seed=s, max_epochs=3)) for s in (1, 2, 3)]
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 500), st.integers(1, 6)), min_size=1, max_size=6,
-                unique_by=lambda block: block[0]),
-       st.integers(1, 16), st.integers(1, 1000))
-def test_split_is_the_least_slower_side_of_all_block_divisions(blocks, batch_size, max_epochs):
-    cfg = TrainingConfig(batch_size=batch_size, max_epochs=max_epochs)
-    n_train = [n for n, rows in blocks for _ in range(rows)]
-    slower = []   # the slower side's time of every division into two sides
-    for mask in itertools.product((True, False), repeat=len(blocks)):
-        sides = [[n for n, rows in itertools.compress(blocks, m) for _ in range(rows)]
-                 for m in (mask, [not b for b in mask])]
-        if all(sides):
-            slower.append(max(modelled_us(side, cfg) for side in sides))
-    one_stack = modelled_us(n_train, cfg) - neuralnet._FORK_US
-    here = neuralnet._split(n_train, cfg)
-    if here is None:
-        assert min(slower, default=math.inf) >= one_stack
-    else:
-        mine = [n for n in n_train if n in here]
-        rest = [n for n in n_train if n not in here]
-        assert mine and rest
-        assert modelled_us(rest, cfg) == min(slower) < one_stack
-        assert modelled_us(mine, cfg) <= modelled_us(rest, cfg)
-
-
-def test_one_cpu_never_forks(monkeypatch, forking_jobs):
-    # forking_jobs split on two CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    forbid_fork(monkeypatch)
-    monkeypatch.setattr(neuralnet, "_train_stack", lambda jobs: [os.getpid()] * len(jobs))
-    assert train_lockstep(forking_jobs) == [os.getpid()] * 4
+    def no_fork():
+        raise AssertionError("os.fork called with one training-set size")
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = train_lockstep(jobs)
+    assert [t.epochs_run for _, t in got] == [3] * 3
 
 
 def child_only(monkeypatch, action):
@@ -518,29 +467,29 @@ def child_only(monkeypatch, action):
     monkeypatch.setattr(neuralnet, "_train_stack", stack)
 
 
-def test_child_death_raises_runtime_error(monkeypatch, two_cpus, forking_jobs):
+def test_child_death_raises_runtime_error(monkeypatch, two_cpus, mixed_jobs):
     forks = recorded_forks(monkeypatch)
     child_only(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3"):
-        train_lockstep(forking_jobs)
+        train_lockstep(mixed_jobs)
     assert_reaped(forks[0])
 
 
 @pytest.mark.parametrize("exc", [InsufficientData("child says no"), ValueError("child says no"),
                                  UnreachableGridPoint(4, (140.0, 0.0, 69.0))])
-def test_child_exception_reaches_caller(monkeypatch, two_cpus, forking_jobs, exc):
+def test_child_exception_reaches_caller(monkeypatch, two_cpus, mixed_jobs, exc):
     forks = recorded_forks(monkeypatch)
 
     def fail():
         raise exc
     child_only(monkeypatch, fail)
     with pytest.raises(type(exc)) as info:
-        train_lockstep(forking_jobs)
+        train_lockstep(mixed_jobs)
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     assert_reaped(forks[0])
 
 
-def test_caller_interrupt_kills_child(monkeypatch, two_cpus, forking_jobs):
+def test_caller_interrupt_kills_child(monkeypatch, two_cpus, mixed_jobs):
     forks = recorded_forks(monkeypatch)
     parent = os.getpid()
 
@@ -551,7 +500,7 @@ def test_caller_interrupt_kills_child(monkeypatch, two_cpus, forking_jobs):
     monkeypatch.setattr(neuralnet, "_train_stack", stack)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        train_lockstep(forking_jobs)
+        train_lockstep(mixed_jobs)
     assert time.monotonic() - start < 30
     assert_reaped(forks[0])
 
