@@ -11,7 +11,7 @@ operation. A row holds, in order and flattened:
     b2: (3,)
 
 so P = 7 * hidden + 3. The weights are transposed relative to the public
-``NetworkParams`` so every matmul runs on C-contiguous operands.
+``NetworkParams`` so the forward products read C-contiguous weights.
 
 The models of a stack may train on sets of different sizes. The rows are
 sorted by training-set size, largest first, so the rows that have a full
@@ -24,14 +24,30 @@ run: a model that stops keeps its row, and nothing reads its later steps.
 Adam's first and second moments live in one (2, R, P) array, m in [0] and
 v in [1], so each Adam operation is one call over both. A step writes its
 gradients and temporaries in place into leading views of one set of scratch
-buffers per stack, and an epoch transposes its inputs once for all its
-steps.
+buffers per stack.
+
+Each bias gradient comes out of the product that computes its weight
+gradient. In a row, a1 (3, hidden) lies directly above b1, so its first
+4 * hidden entries form a (4, hidden) block, and a2 (hidden, 3) lies directly
+above b2, so the rest form a (hidden + 1, 3) block. The epoch's inputs carry a
+fourth column of ones, and the hidden activations a last column of ones; the
+product of a transposed operand with its row of ones is the sum over the
+batch. So one product (x, 1)^T dh writes the (4, hidden) block, and one
+product (h, 1)^T dout the (hidden + 1, 3) block, with no reduction and no
+transposed copy. The forward pass reads the first three input columns and
+the first ``hidden`` activation columns, and adds its biases separately:
+folding them into its products would move bits.
 
 Each product is one ``np.matmul`` over the rows of a step; elementwise
 operations and per-model sums never mix models. Row r of a stacked step is
-therefore bitwise the step model r would take alone. This needs the
-transposed operands of the backward products to be C-contiguous copies: a
-transposed view can round differently when a batch has a single row.
+therefore bitwise the step model r would take alone. In random trials with
+numpy 2.4's OpenBLAS, the rows of ones gave bitwise the gradients of separate
+batch reductions and ones-free products for every batch of at most 15
+samples with at least 2 hidden units. A batch of 16 or more rounds the
+weight gradients of the (hidden + 1)-row product differently, and with one
+hidden unit the products are matrix-vector products that sum in another
+order; there the gradients move in the last bits, and a stacked row still
+equals the same model alone.
 
 Subnormal moments. A hidden unit whose ReLU never fires has gradient 0, so
 its moments decay by beta every step until they stick a few ulps above 0
@@ -83,11 +99,10 @@ def mse(a1, b1, a2, b2, x, y):
 
 
 class _Scratch(NamedTuple):
-    """Temporaries of one step of S rows and a batch of B samples."""
+    """Temporaries of one step of S rows and a batch of B samples, and views
+    of them made once: a view costs as much as a small ufunc call."""
 
     pre: np.ndarray     # (S, B, H) hidden pre-activations
-    h: np.ndarray       # (S, B, H) hidden activations
-    ht: np.ndarray      # (S, H, B) their C-contiguous transpose
     dh: np.ndarray      # (S, B, H) hidden gradient
     off: np.ndarray     # (S, B, H) bool: where pre > 0 is False
     err: np.ndarray     # (S, B, 3) output errors
@@ -95,33 +110,44 @@ class _Scratch(NamedTuple):
     a2t: np.ndarray     # (S, 3, H) C-contiguous transpose of a2
     g: np.ndarray       # (2, S, P) gradient rows and their squares, then the
                         # Adam step's quotients of m and v
-    grads: tuple        # unpack(g[0]): where backprop writes the gradients
-    g0: np.ndarray      # g[0] and g[1], made once: a view costs as much as a
-    g1: np.ndarray      # small ufunc call
+    h1: np.ndarray      # (S, B, H + 1) hidden activations, then a column of ones
+    h: np.ndarray       # h1[..., :H], the activations
+    h1t: np.ndarray     # h1 transposed to (S, H + 1, B)
+    g0: np.ndarray      # g[0] and g[1]
+    g1: np.ndarray
+    g1b1: np.ndarray    # g0[:, :4H] as the (S, 4, H) block of a1 and b1
+    g2b2: np.ndarray    # g0[:, 4H:] as the (S, H + 1, 3) block of a2 and b2
 
 
 def _scratch(rows, batch, hidden, base=None):
     """The :class:`_Scratch` of a step of ``rows`` rows and ``batch``
     samples: new buffers, or C-contiguous leading views of the buffers of
-    ``base``, a :class:`_Scratch` at least as large."""
+    ``base``, a :class:`_Scratch` at least as large. New activations get
+    their column of ones here, and a step writes only ``h1[..., :H]``; a
+    leading view keeps the last column at the flat positions H, 2H + 1, ...,
+    so the ones stay in place for steps of every shape."""
     hb, b3, width = (rows, batch, hidden), (rows, batch, 3), 7 * hidden + 3
-    shapes = {"pre": hb, "h": hb, "ht": (rows, hidden, batch), "dh": hb, "off": hb,
-              "err": b3, "dout": b3, "a2t": (rows, 3, hidden), "g": (2, rows, width)}
+    shapes = {"pre": hb, "dh": hb, "off": hb, "err": b3, "dout": b3,
+              "a2t": (rows, 3, hidden), "g": (2, rows, width), "h1": (rows, batch, hidden + 1)}
     views = {}
     for name, shape in shapes.items():
         flat = (np.empty(math.prod(shape), dtype=bool if name == "off" else float)
                 if base is None else getattr(base, name).reshape(-1))
         views[name] = flat[:math.prod(shape)].reshape(shape)
-    g = views["g"]
-    return _Scratch(**views, grads=unpack(g[0], hidden), g0=g[0], g1=g[1])
+    h1, (g0, g1) = views["h1"], views["g"]
+    if base is None:
+        h1[..., hidden] = 1.0
+    return _Scratch(**views, h=h1[..., :hidden], h1t=h1.transpose(0, 2, 1),
+                    g0=g0, g1=g1, g1b1=g0[:, :4 * hidden].reshape(rows, 4, hidden),
+                    g2b2=g0[:, 4 * hidden:].reshape(rows, hidden + 1, 3))
 
 
-def _backprop(a1, b1, a2, b2, x, xt, y, s):
+def _backprop(a1, b1, a2, b2, x, x1t, y, s):
     """Output errors and exact MSE gradients of a stack for one batch x, y
-    (S, B, 3), written into ``s.err`` and ``s.grads`` (a :class:`_Scratch`).
-    b1 and b2 are (S, 1, H) and (S, 1, 3) views; xt is x transposed to
-    (S, 3, B) with unit inner stride. The ReLU subgradient at 0 is 0."""
-    pre, h, ht, dh, off, err, dout, a2t, _, (ga1, gb1, ga2, gb2), _, _ = s
+    (S, B, 3), written into ``s.err`` and ``s.g0`` (a :class:`_Scratch`).
+    b1 and b2 are (S, 1, H) and (S, 1, 3) views; x1t (S, 4, B) is x with a
+    column of ones, transposed. The ReLU subgradient at 0 is 0."""
+    pre, dh, off, err, dout, a2t, _, _, h, h1t, _, _, g1b1, g2b2 = s
     np.matmul(x, a1, out=pre)
     pre += b1
     np.maximum(pre, 0.0, out=h)
@@ -129,16 +155,13 @@ def _backprop(a1, b1, a2, b2, x, xt, y, s):
     err += b2
     err -= y
     np.multiply(err, 2.0 / (x.shape[1] * 3.0), out=dout)
-    np.copyto(ht, h.transpose(0, 2, 1))
-    np.matmul(ht, dout, out=ga2)
-    np.add.reduce(dout, axis=1, out=gb2)
+    np.matmul(h1t, dout, out=g2b2)
     np.copyto(a2t, a2.transpose(0, 2, 1))
     np.matmul(dout, a2t, out=dh)
     # zero dh where pre > 0 is False, so a NaN pre zeroes it too
     np.logical_not(np.greater(pre, 0.0, out=off), out=off)
     np.copyto(dh, 0.0, where=off)
-    np.matmul(xt, dh, out=ga1)
-    np.add.reduce(dh, axis=1, out=gb1)
+    np.matmul(x1t, dh, out=g1b1)
 
 
 def gradients(a1, b1, a2, b2, x, y):
@@ -149,11 +172,11 @@ def gradients(a1, b1, a2, b2, x, y):
     rows (S, P) in the layout of the parameters.
     """
     rows, batch, _ = x.shape
-    hidden = a1.shape[-1]
-    s = _scratch(rows, batch, hidden)
-    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x,
-              np.ascontiguousarray(x.transpose(0, 2, 1)), y, s)
-    return s.err, s.g[0]
+    x1 = np.ones((rows, batch, 4))
+    x1[..., :3] = x
+    s = _scratch(rows, batch, a1.shape[-1])
+    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x1[..., :3], x1.transpose(0, 2, 1), y, s)
+    return s.err, s.g0
 
 
 def runs(values):
@@ -171,8 +194,8 @@ class _Step(NamedTuple):
     parameters, moments (2, S, P) with their factors (beta1, beta2) and
     (1 - beta1, 1 - beta2), broadcast parameters (a1, b1[:, None], a2,
     b2[:, None]) and loss sums, its :class:`_Scratch`, and views of the
-    schedule's buffers: its batch (x, x transposed, y) and its bias
-    corrections (2, S, 1)."""
+    schedule's buffers: its batch (x, x with its column of ones transposed,
+    y) and its bias corrections (2, S, 1)."""
 
     rows: slice
     cols: slice
@@ -192,9 +215,9 @@ class _Schedule(NamedTuple):
     """One epoch of a stack, from :func:`plan`: its :class:`_Step` list, each
     row's sum of squared errors, the runs (lo, hi, q) of rows taking q steps
     per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
-    and the buffers the steps read: the epoch's shuffled inputs x, targets y
-    (R, n, 3) and inputs transposed xt (R, 3, n), and the bias corrections
-    (batches, 2, R, 1) of :func:`_bias_corrections`."""
+    and the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
+    whose last column is ones, and targets y (R, n, 3), and the bias
+    corrections (batches, 2, R, 1) of :func:`_bias_corrections`."""
 
     steps: list
     sse: np.ndarray
@@ -203,7 +226,6 @@ class _Schedule(NamedTuple):
     mv: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    xt: np.ndarray
     bc: np.ndarray
 
 
@@ -216,8 +238,8 @@ def plan(theta, mv, hidden, n_train, batch_size):
     last batch together. Returns the :class:`_Schedule` for
     :func:`epoch_step`. ``mv`` (2, R, P) holds Adam's first moments in
     ``mv[0]`` and second moments in ``mv[1]``. Every step's temporaries are
-    leading views of one set of buffers for the stack, and steps of one shape
-    share their views; its data and bias corrections are views made here,
+    views of one set of buffers for the stack (:func:`_scratch`), and steps of
+    one shape share their views; its data and bias corrections are views made here,
     because making a view costs as much as a small ufunc call. The views stay
     valid while theta (R, P) and mv are updated in place, so one plan serves
     a whole run.
@@ -226,8 +248,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
     rows = len(n_train)
     sse = np.zeros(rows)
     base = _scratch(rows, batch_size, hidden)
-    x, y = np.empty((rows, n_train[0], 3)), np.empty((rows, n_train[0], 3))
-    xt = np.empty((rows, 3, n_train[0]))
+    x, y = np.ones((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
     bc = np.ones((-(-n_train[0] // batch_size), 2, rows, 1))
     # the Adam factors at full shape: a (2, 1, 1) broadcast costs twice the time
     decay = np.empty_like(mv)
@@ -244,7 +265,8 @@ def plan(theta, mv, hidden, n_train, batch_size):
         r = slice(lo, hi)
         return _Step(r, cols, j, th, mv[:, r], decay[:, r], gain[:, r],
                      (a1, b1[:, None, :], a2, b2[:, None, :]), sse[r], scratch[shape],
-                     (x[r, cols], xt[r, :, cols], y[r, cols]), bc[j, :, r])
+                     (x[r, cols, :3], x[r, cols].transpose(0, 2, 1), y[r, cols]),
+                     bc[j, :, r])
 
     steps = []
     for j in range(n_train[0] // batch_size):
@@ -255,7 +277,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
         if n > full * batch_size:
             steps.append(step(lo, hi, slice(full * batch_size, n), full))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
-    return _Schedule(steps, sse, per_epoch, np.array(n_train) * 3.0, mv, x, y, xt, bc)
+    return _Schedule(steps, sse, per_epoch, np.array(n_train) * 3.0, mv, x, y, bc)
 
 
 def _bias_corrections(epoch, per_epoch, bc):
@@ -266,8 +288,8 @@ def _bias_corrections(epoch, per_epoch, bc):
     alone would use."""
     for lo, hi, q in per_epoch:
         for i, beta in enumerate((ADAM_BETA1, ADAM_BETA2)):
-            bc[:q, i, lo:hi, 0] = [[1.0 - beta ** t]
-                                   for t in range(epoch * q + 1, epoch * q + q + 1)]
+            bc[:q, i, lo:hi, 0] = np.array(
+                [1.0 - beta ** t for t in range(epoch * q + 1, epoch * q + q + 1)])[:, None]
 
 
 def epoch_step(schedule, epoch, lr):
@@ -276,12 +298,11 @@ def epoch_step(schedule, epoch, lr):
     :func:`plan`). At the end, every moment entry in the subnormal range is
     set to 0 (see the module docstring).
 
-    ``schedule.x`` and ``schedule.y`` (R, n, 3) must hold each row's training
-    inputs and targets in this epoch's shuffled order, padded to the longest
-    set. Returns each row's mean squared pre-update batch error (R,).
+    ``schedule.x`` (R, n, 4) and ``schedule.y`` (R, n, 3) must hold each
+    row's training inputs, followed by a column of ones, and targets in this
+    epoch's shuffled order, padded to the longest set. Returns each row's mean squared pre-update batch error (R,).
     """
-    steps, sse, per_epoch, n3, mv, x, _, xt, bcs = schedule
-    np.copyto(xt, x.transpose(0, 2, 1))
+    steps, sse, per_epoch, n3, mv, _, _, bcs = schedule
     _bias_corrections(epoch, per_epoch, bcs)
     sse[:] = 0.0
     for _, _, _, theta, m_v, decay, gain, params, row_sse, s, batch, bc in steps:

@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         except (UnreachableGridPoint, NonFiniteLoss) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        except (ValueError, IkannError, OSError) as exc:
+        # MemoryError: a size numpy cannot allocate, such as --hidden 1e15
+        except (ValueError, IkannError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

@@ -257,12 +257,13 @@ def _train_stack(jobs) -> list:
     """:func:`train_lockstep` of a validated job list, every model in this
     process and in one stack."""
     cfg = jobs[0][1]
-    # every distinct dataset once in x_all, y_all; the indices below are into them
+    # every distinct dataset once in x_all, y_all; the indices below are into
+    # them. x_all carries the column of ones of the kernel's inputs (_kernels.plan)
     offsets, xs, ys = {}, [], []
     for ds, _ in jobs:
         if id(ds) not in offsets:
             offsets[id(ds)] = sum(len(x) for x in xs)
-            xs.append(normalize_input(ds.points, ds.box))
+            xs.append(np.column_stack((normalize_input(ds.points, ds.box), np.ones(ds.n))))
             ys.append(ds.angles)
     x_all, y_all = np.concatenate(xs), np.concatenate(ys)
 
@@ -283,7 +284,7 @@ def _train_stack(jobs) -> list:
         if nv:
             idx = np.stack(val_idx[lo:hi])
             blocks.append((slice(lo, hi), _kernels.unpack(theta[lo:hi], cfg.hidden),
-                           x_all[idx], y_all[idx]))
+                           x_all[idx, :3], y_all[idx]))
 
     best = np.zeros_like(theta)
     rngs = [np.random.default_rng([c.seed, 2]) for _, c in rows]

@@ -122,6 +122,19 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--samples-per-axis", "2", "--hidden", "1000000000000000", "--epochs", "1"],
+    ["dataset", "--samples-per-axis", "100000"],
+])
+def test_unallocatable_size_exit_2(tmp_path, capsys, argv):
+    # petabyte arrays that numpy refuses at once, before touching memory
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--axis-counts", "20", "--report", str(tmp_path / "r.csv")])
     assert rc == 2

@@ -25,11 +25,14 @@ def test_unpack_gives_views():
     np.testing.assert_array_equal(a1[1], init_params(16, 2).w1.T + 1.0)
 
 
-def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
+def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step, moments=None):
     """One model's epoch as a plain loop of 2-D np.dot products; returns the
-    new (a1, b1, a2, b2), the step count and the epoch loss."""
+    new (a1, b1, a2, b2), the step count and the epoch loss. ``moments``, an
+    (m, v) pair per parameter, start at 0 unless given, and are updated in
+    place."""
     params = [p.copy() for p in params]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    if moments is None:
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     sse = 0.0
     for start in range(0, len(x), batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
@@ -53,7 +56,7 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step):
 def stacked_epoch(theta, n_train, x, y, epoch):
     """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
     schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
-    schedule.x[:], schedule.y[:] = x, y
+    schedule.x[..., :3], schedule.y[:] = x, y
     return _kernels.epoch_step(schedule, epoch, 0.001)
 
 
@@ -99,6 +102,35 @@ def test_mixed_size_stack_matches_single_models():
     assert_rows_match_reference(seeds, n_train, 10, x, y)
 
 
+def test_ones_columns_hold_across_steps_of_every_shape():
+    # the default sweep's child stack, one seed of each k = 7..2: full batches
+    # of 6 down to 1 rows, then tails of 5, 2, 1, 2, 1 and 6 samples, for 3
+    # epochs of fresh data. The bias gradients come from the columns of ones
+    # of the inputs and of the shared activations; every row takes bitwise the
+    # reference steps, whose bias gradients are batch sums, after steps of
+    # every other shape have run. The padding is NaN, as above.
+    seeds, n_train = (11, 12, 13, 14, 15, 16), [309, 194, 113, 58, 25, 6]
+    theta = np.stack([flat_row(s) for s in seeds])
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
+    moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
+    rng = np.random.default_rng(8)
+    for epoch in range(3):
+        x = rng.uniform(0, 1, (6, 309, 3))
+        y = rng.normal(0, 1, (6, 309, 3))
+        for row, n in enumerate(n_train):
+            x[row, n:] = y[row, n:] = np.nan
+        schedule.x[..., :3], schedule.y[:] = x, y   # plan starts the last column at 1
+        losses = _kernels.epoch_step(schedule, epoch, 0.001)
+        for row, n in enumerate(n_train):
+            refs[row], _, loss = reference_epoch(refs[row], x[row, :n], y[row, :n], 8, 0.001,
+                                                 0.9, 0.999, 1e-8, epoch * -(-n // 8),
+                                                 moments[row])
+            assert losses[row] == loss, (epoch, row)
+            for got, want in zip(_kernels.unpack(theta[row], 16), refs[row]):
+                np.testing.assert_array_equal(got, want)
+
+
 def test_plan_of_default_sweep():
     # five seeds of each k = 2..8: 57 full batches (k = 2 has none), then one
     # tail per k
@@ -122,19 +154,21 @@ def test_plan_of_default_sweep():
 
 def test_steps_share_one_set_of_scratch():
     # the default sweep's child stack: the 30 rows of k = 2..7, 44 steps per
-    # epoch; every step's temporaries are views of the same per-stack buffers
+    # epoch; every step's temporaries, the activations with their column of
+    # ones too, are views of the same per-stack buffers, and every step's
+    # activations end in ones
     n_train = [n for n in (309, 194, 113, 58, 25, 6) for _ in range(5)]
     theta = np.zeros((len(n_train), 7 * 16 + 3))
     steps = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)[0]
     assert len(steps) == 44
 
-    def arrays(scratch):
-        return [a for f in scratch for a in (f if isinstance(f, tuple) else (f,))]
-
     first, last = steps[0].scratch, steps[-1].scratch
     assert first.pre.shape == (25, 8, 16) and last.pre.shape == (5, 6, 16)
-    for a, b in zip(arrays(first), arrays(last), strict=True):
+    assert first.h1.shape == (25, 8, 17) and last.h1.shape == (5, 6, 17)
+    for a, b in zip(first, last, strict=True):
         assert a.base is b.base and a.base is not None
+    for step in steps:
+        np.testing.assert_array_equal(step.scratch.h1[..., 16], 1.0)
 
 
 def train_dead_unit(epochs, moment_entries):
@@ -166,7 +200,7 @@ def train_dead_unit(epochs, moment_entries):
     mv = np.zeros((2,) + theta.shape)
     mv[0, 0] = flat_of(state.m)
     schedule = _kernels.plan(theta, mv, hidden, [n], 8)
-    schedule.x[0], schedule.y[0] = x, y
+    schedule.x[0, :, :3], schedule.y[0] = x, y
     tiny = np.finfo(float).tiny
     for epoch in range(epochs):
         _kernels.epoch_step(schedule, epoch, lr)

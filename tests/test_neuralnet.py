@@ -178,7 +178,7 @@ def test_adam_epoch_matches_kernel(k3_dataset):
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
     schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 4, [ds.n], cfg.batch_size)
     assert len(schedule[0]) == state.t
-    schedule.x[0], schedule.y[0] = x[order], y[order]
+    schedule.x[0, :, :3], schedule.y[0] = x[order], y[order]
     _kernels.epoch_step(schedule, 0, cfg.learning_rate)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
