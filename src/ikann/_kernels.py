@@ -38,6 +38,18 @@ transposed copy. The forward pass reads the first three input columns and
 the first ``hidden`` activation columns, and adds its biases separately:
 folding them into its products would move bits.
 
+A step writes its output errors over its view of the epoch's targets, and
+the training loss is summed from them once per epoch, not per step: the
+epoch uses up the targets, which the caller gathers again for every epoch
+anyway. Each row's loss is the sum ((0 + s_0) + s_1) + ... over its batches
+in order, each s_j numpy's pairwise sum of that batch's squared errors, the
+bits of a sum kept step by step (:func:`_epoch_sse` says which reductions
+keep that order). Every ufunc of a step takes its output as a positional
+argument and is bound once at import: an ``out=`` keyword and a numpy
+attribute lookup each cost time in a step whose cost is mostly call
+overhead. ``np.maximum`` keeps its ``out=``, because a third positional
+argument to it is deprecated.
+
 Each product is one ``np.matmul`` over the rows of a step; elementwise
 operations and per-model sums never mix models. Row r of a stacked step is
 therefore bitwise the step model r would take alone. In random trials with
@@ -69,6 +81,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy import add, divide, greater, logical_not, matmul, multiply, putmask, sqrt, subtract
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -105,7 +118,7 @@ class _Scratch(NamedTuple):
     pre: np.ndarray     # (S, B, H) hidden pre-activations
     dh: np.ndarray      # (S, B, H) hidden gradient
     off: np.ndarray     # (S, B, H) bool: where pre > 0 is False
-    err: np.ndarray     # (S, B, 3) output errors
+    out: np.ndarray     # (S, B, 3) network outputs
     dout: np.ndarray    # (S, B, 3) output gradient
     a2t: np.ndarray     # (S, 3, H) C-contiguous transpose of a2
     g: np.ndarray       # (2, S, P) gradient rows and their squares, then the
@@ -127,7 +140,7 @@ def _scratch(rows, batch, hidden, base=None):
     leading view keeps the last column at the flat positions H, 2H + 1, ...,
     so the ones stay in place for steps of every shape."""
     hb, b3, width = (rows, batch, hidden), (rows, batch, 3), 7 * hidden + 3
-    shapes = {"pre": hb, "dh": hb, "off": hb, "err": b3, "dout": b3,
+    shapes = {"pre": hb, "dh": hb, "off": hb, "out": b3, "dout": b3,
               "a2t": (rows, 3, hidden), "g": (2, rows, width), "h1": (rows, batch, hidden + 1)}
     views = {}
     for name, shape in shapes.items():
@@ -143,30 +156,31 @@ def _scratch(rows, batch, hidden, base=None):
 
 
 def _backprop(a1, b1, a2, b2, x, x1t, y, s):
-    """Output errors and exact MSE gradients of a stack for one batch x, y
-    (S, B, 3), written into ``s.err`` and ``s.g0`` (a :class:`_Scratch`).
-    b1 and b2 are (S, 1, H) and (S, 1, 3) views; x1t (S, 4, B) is x with a
-    column of ones, transposed. The ReLU subgradient at 0 is 0."""
-    pre, dh, off, err, dout, a2t, _, _, h, h1t, _, _, g1b1, g2b2 = s
-    np.matmul(x, a1, out=pre)
-    pre += b1
-    np.maximum(pre, 0.0, out=h)
-    np.matmul(h, a2, out=err)
-    err += b2
-    err -= y
-    np.multiply(err, 2.0 / (x.shape[1] * 3.0), out=dout)
-    np.matmul(h1t, dout, out=g2b2)
+    """Exact MSE gradients of a stack for one batch x (S, B, 3), written into
+    ``s.g0`` (a :class:`_Scratch`); the output errors are written over the
+    targets y (S, B, 3). b1 and b2 are (S, 1, H) and (S, 1, 3) views; x1t
+    (S, 4, B) is x with a column of ones, transposed. The ReLU subgradient at
+    0 is 0."""
+    pre, dh, off, out, dout, a2t, _, _, h, h1t, _, _, g1b1, g2b2 = s
+    matmul(x, a1, pre)
+    add(pre, b1, pre)
+    np.maximum(pre, 0.0, out=h)   # out=: a third positional argument is deprecated here
+    matmul(h, a2, out)
+    add(out, b2, out)
+    subtract(out, y, y)
+    multiply(y, 2.0 / (x.shape[1] * 3.0), dout)
+    matmul(h1t, dout, g2b2)
     np.copyto(a2t, a2.transpose(0, 2, 1))
-    np.matmul(dout, a2t, out=dh)
+    matmul(dout, a2t, dh)
     # zero dh where pre > 0 is False, so a NaN pre zeroes it too
-    np.logical_not(np.greater(pre, 0.0, out=off), out=off)
-    np.copyto(dh, 0.0, where=off)
-    np.matmul(x1t, dh, out=g1b1)
+    logical_not(greater(pre, 0.0, off), off)
+    putmask(dh, off, 0.0)
+    matmul(x1t, dh, g1b1)
 
 
 def gradients(a1, b1, a2, b2, x, y):
     """Exact MSE gradients of a stack for one batch x, y (S, B, 3); the ReLU
-    subgradient at 0 is 0.
+    subgradient at 0 is 0. x and y are left as they are.
 
     Returns (err, g): the output errors (S, B, 3) and the gradients as flat
     rows (S, P) in the layout of the parameters.
@@ -174,9 +188,10 @@ def gradients(a1, b1, a2, b2, x, y):
     rows, batch, _ = x.shape
     x1 = np.ones((rows, batch, 4))
     x1[..., :3] = x
+    err = np.array(y, dtype=float)
     s = _scratch(rows, batch, a1.shape[-1])
-    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x1[..., :3], x1.transpose(0, 2, 1), y, s)
-    return s.err, s.g0
+    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x1[..., :3], x1.transpose(0, 2, 1), err, s)
+    return err, s.g0
 
 
 def runs(values):
@@ -193,9 +208,9 @@ class _Step(NamedTuple):
     data it reads, its batch index j in each row's epoch, views of the rows'
     parameters, moments (2, S, P) with their factors (beta1, beta2) and
     (1 - beta1, 1 - beta2), broadcast parameters (a1, b1[:, None], a2,
-    b2[:, None]) and loss sums, its :class:`_Scratch`, and views of the
-    schedule's buffers: its batch (x, x with its column of ones transposed,
-    y) and its bias corrections (2, S, 1)."""
+    b2[:, None]), its :class:`_Scratch`, and views of the schedule's
+    buffers: its batch (x, x with its column of ones transposed, y) and its
+    bias corrections (2, S, 1)."""
 
     rows: slice
     cols: slice
@@ -205,7 +220,6 @@ class _Step(NamedTuple):
     decay: np.ndarray
     gain: np.ndarray
     params: tuple
-    sse: np.ndarray
     scratch: _Scratch
     batch: tuple
     bc: np.ndarray
@@ -215,9 +229,12 @@ class _Schedule(NamedTuple):
     """One epoch of a stack, from :func:`plan`: its :class:`_Step` list, each
     row's sum of squared errors, the runs (lo, hi, q) of rows taking q steps
     per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
-    and the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
+    the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
     whose last column is ones, and targets y (R, n, 3), and the bias
-    corrections (batches, 2, R, 1) of :func:`_bias_corrections`."""
+    corrections (batches, 2, R, 1) of :func:`_bias_corrections`; and the
+    loss sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0])
+    of each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is
+    the sum of squared errors."""
 
     steps: list
     sse: np.ndarray
@@ -227,6 +244,8 @@ class _Schedule(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     bc: np.ndarray
+    parts: list
+    sums: np.ndarray
 
 
 def plan(theta, mv, hidden, n_train, batch_size):
@@ -239,17 +258,21 @@ def plan(theta, mv, hidden, n_train, batch_size):
     :func:`epoch_step`. ``mv`` (2, R, P) holds Adam's first moments in
     ``mv[0]`` and second moments in ``mv[1]``. Every step's temporaries are
     views of one set of buffers for the stack (:func:`_scratch`), and steps of
-    one shape share their views; its data and bias corrections are views made here,
-    because making a view costs as much as a small ufunc call. The views stay
-    valid while theta (R, P) and mv are updated in place, so one plan serves
-    a whole run.
+    one shape share their views; its data and bias corrections are views
+    made here, because making a view costs as much as a small ufunc call, and
+    so are the views of the epoch's loss sums (:func:`_epoch_sse`). The views
+    stay valid while theta (R, P) and mv are updated in place, so one plan
+    serves a whole run.
     """
     n_train = [int(n) for n in n_train]
     rows = len(n_train)
-    sse = np.zeros(rows)
     base = _scratch(rows, batch_size, hidden)
     x, y = np.ones((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
-    bc = np.ones((-(-n_train[0] // batch_size), 2, rows, 1))
+    batches = -(-n_train[0] // batch_size)
+    bc = np.ones((batches, 2, rows, 1))
+    # a last column of zeros that no batch writes, so that the running sum
+    # ends in each row's total (total + 0 is the total: it is not -0)
+    sums = np.zeros((2, rows, batches + 1))
     # the Adam factors at full shape: a (2, 1, 1) broadcast costs twice the time
     decay = np.empty_like(mv)
     decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
@@ -264,20 +287,25 @@ def plan(theta, mv, hidden, n_train, batch_size):
             scratch[shape] = _scratch(*shape, hidden, base)
         r = slice(lo, hi)
         return _Step(r, cols, j, th, mv[:, r], decay[:, r], gain[:, r],
-                     (a1, b1[:, None, :], a2, b2[:, None, :]), sse[r], scratch[shape],
+                     (a1, b1[:, None, :], a2, b2[:, None, :]), scratch[shape],
                      (x[r, cols, :3], x[r, cols].transpose(0, 2, 1), y[r, cols]),
                      bc[j, :, r])
 
-    steps = []
+    steps, parts = [], []
     for j in range(n_train[0] // batch_size):
         a = sum(n // batch_size > j for n in n_train)
         steps.append(step(0, a, slice(j * batch_size, (j + 1) * batch_size), j))
     for lo, hi, n in runs(n_train):
         full = n // batch_size
+        if full:
+            parts.append((y[lo:hi, :full * batch_size].reshape(hi - lo, full, batch_size, 3),
+                          (2, 3), sums[0, lo:hi, :full]))
         if n > full * batch_size:
             steps.append(step(lo, hi, slice(full * batch_size, n), full))
+            parts.append((y[lo:hi, full * batch_size:n], (1, 2), sums[0, lo:hi, full]))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
-    return _Schedule(steps, sse, per_epoch, np.array(n_train) * 3.0, mv, x, y, bc)
+    return _Schedule(steps, sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc,
+                     parts, sums)
 
 
 def _bias_corrections(epoch, per_epoch, bc):
@@ -292,6 +320,27 @@ def _bias_corrections(epoch, per_epoch, bc):
                 [1.0 - beta ** t for t in range(epoch * q + 1, epoch * q + q + 1)])[:, None]
 
 
+def _epoch_sse(y, parts, sums):
+    """Each row's sum of squared errors over an epoch, in sums[1, :, -1],
+    from the output errors its steps wrote over its targets y (R, n, 3). The
+    whole of y is squared in place in one call: numpy copies a strided view
+    squared in place, and the padding past a row's set is gathered afresh
+    next epoch. The sum is ((0 + s_0) + s_1) + ... over the row's batches in
+    order, each s_j the pairwise sum of numpy's ``add.reduce`` over that
+    batch's B * 3 values, the bits of a loss summed step by step. So the
+    squares of a block of rows of one size are summed over each batch
+    alone: over the last two axes of the full batches viewed as (rows, full,
+    B, 3), and over exactly the rem * 3 values of the short batch, not a
+    zero-padded slot, which rounds differently. The batch sums are then run
+    along each row by ``add.accumulate``, which adds in order; ``add.reduce``
+    along that axis is pairwise, and so is a reduce of a one-row block
+    transposed."""
+    multiply(y, y, y)
+    for part, axes, out in parts:
+        add.reduce(part, axis=axes, out=out)
+    add.accumulate(sums[0], axis=1, out=sums[1])
+
+
 def epoch_step(schedule, epoch, lr):
     """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
     parameters and moments in place through the views of ``schedule`` (from
@@ -300,25 +349,28 @@ def epoch_step(schedule, epoch, lr):
 
     ``schedule.x`` (R, n, 4) and ``schedule.y`` (R, n, 3) must hold each
     row's training inputs, followed by a column of ones, and targets in this
-    epoch's shuffled order, padded to the longest set. Returns each row's mean squared pre-update batch error (R,).
+    epoch's shuffled order, padded to the longest set. The epoch uses up
+    ``schedule.y``: each step writes its output errors over its targets, and
+    the loss is summed from them once at the end (:func:`_epoch_sse`), so
+    the caller writes the targets again before every epoch. Returns each
+    row's mean squared pre-update batch error (R,). Outputs are positional
+    (see the module docstring).
     """
-    steps, sse, per_epoch, n3, mv, _, _, bcs = schedule
+    steps, sse, per_epoch, n3, mv, _, y, bcs, parts, sums = schedule
     _bias_corrections(epoch, per_epoch, bcs)
-    sse[:] = 0.0
-    for _, _, _, theta, m_v, decay, gain, params, row_sse, s, batch, bc in steps:
+    for _, _, _, theta, m_v, decay, gain, params, s, batch, bc in steps:
         _backprop(*params, *batch, s)
         g, g0, g1 = s.g, s.g0, s.g1
-        np.multiply(s.err, s.err, out=s.dout)
-        row_sse += np.add.reduce(s.dout, axis=(1, 2))
-        np.multiply(g0, g0, out=g1)
-        g *= gain
-        m_v *= decay
-        m_v += g
-        np.divide(m_v, bc, out=g)
-        np.sqrt(g1, out=g1)
-        g1 += ADAM_EPS
-        g0 *= lr
-        g0 /= g1
-        theta -= g0
+        multiply(g0, g0, g1)
+        multiply(g, gain, g)
+        multiply(m_v, decay, m_v)
+        add(m_v, g, m_v)
+        divide(m_v, bc, g)
+        sqrt(g1, g1)
+        add(g1, ADAM_EPS, g1)
+        multiply(g0, lr, g0)
+        divide(g0, g1, g0)
+        subtract(theta, g0, theta)
     np.copyto(mv, 0.0, where=np.abs(mv) < _TINY)
+    _epoch_sse(y, parts, sums)
     return sse / n3

@@ -5,7 +5,7 @@ import numpy as np
 
 from conftest import adam_step, init_adam_state
 from ikann import _kernels
-from ikann.neuralnet import NetworkParams, backward, init_params
+from ikann.neuralnet import NetworkParams, backward, init_params, predict
 
 
 def flat_of(p):
@@ -102,22 +102,20 @@ def test_mixed_size_stack_matches_single_models():
     assert_rows_match_reference(seeds, n_train, 10, x, y)
 
 
-def test_ones_columns_hold_across_steps_of_every_shape():
-    # the default sweep's child stack, one seed of each k = 7..2: full batches
-    # of 6 down to 1 rows, then tails of 5, 2, 1, 2, 1 and 6 samples, for 3
-    # epochs of fresh data. The bias gradients come from the columns of ones
-    # of the inputs and of the shared activations; every row takes bitwise the
-    # reference steps, whose bias gradients are batch sums, after steps of
-    # every other shape have run. The padding is NaN, as above.
-    seeds, n_train = (11, 12, 13, 14, 15, 16), [309, 194, 113, 58, 25, 6]
+def assert_epochs_match_reference(seeds, n_train, epochs, rng):
+    """Train a stack ``epochs`` epochs on fresh data each epoch, as
+    ``_train_stack`` does, and assert that every row's loss and parameters
+    are bitwise those of the reference epochs of the model alone. The padding
+    past each row's own set is NaN, so a step or a loss sum that read it
+    would show."""
+    rows, longest = len(seeds), n_train[0]
     theta = np.stack([flat_row(s) for s in seeds])
     schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
     refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
     moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
-    rng = np.random.default_rng(8)
-    for epoch in range(3):
-        x = rng.uniform(0, 1, (6, 309, 3))
-        y = rng.normal(0, 1, (6, 309, 3))
+    for epoch in range(epochs):
+        x = rng.uniform(0, 1, (rows, longest, 3))
+        y = rng.normal(0, 1, (rows, longest, 3))
         for row, n in enumerate(n_train):
             x[row, n:] = y[row, n:] = np.nan
         schedule.x[..., :3], schedule.y[:] = x, y   # plan starts the last column at 1
@@ -129,6 +127,30 @@ def test_ones_columns_hold_across_steps_of_every_shape():
             assert losses[row] == loss, (epoch, row)
             for got, want in zip(_kernels.unpack(theta[row], 16), refs[row]):
                 np.testing.assert_array_equal(got, want)
+
+
+def test_ones_columns_hold_across_steps_of_every_shape():
+    # the default sweep's child stack, one seed of each k = 7..2: full batches
+    # of 6 down to 1 rows, then tails of 5, 2, 1, 2, 1 and 6 samples, for 3
+    # epochs of fresh data. The bias gradients come from the columns of ones
+    # of the inputs and of the shared activations; every row takes bitwise the
+    # reference steps, whose bias gradients are batch sums, after steps of
+    # every other shape have run.
+    assert_epochs_match_reference((11, 12, 13, 14, 15, 16), [309, 194, 113, 58, 25, 6], 3,
+                                  np.random.default_rng(8))
+
+
+def test_epoch_loss_is_the_sum_of_the_step_losses():
+    # the loss is summed once per epoch from the errors the steps wrote over
+    # the targets, and is bitwise the reference's ((0 + s_0) + s_1) + ... of
+    # per-batch sums: blocks of two rows with 38 full batches and a tail of 5
+    # (a pairwise sum over the batches would round differently), 3 full
+    # batches and a tail of 1, and no full batch (n = 6); and a stack of one
+    # row, where a reduce of the batch sums transposed is pairwise too. A
+    # short batch summed over a zero-padded slot of 8 would round differently.
+    rng = np.random.default_rng(10)
+    assert_epochs_match_reference((11, 12, 13, 14, 15, 16), [309, 309, 25, 25, 6, 6], 3, rng)
+    assert_epochs_match_reference((17,), [309], 3, rng)
 
 
 def test_plan_of_default_sweep():
@@ -200,9 +222,10 @@ def train_dead_unit(epochs, moment_entries):
     mv = np.zeros((2,) + theta.shape)
     mv[0, 0] = flat_of(state.m)
     schedule = _kernels.plan(theta, mv, hidden, [n], 8)
-    schedule.x[0, :, :3], schedule.y[0] = x, y
+    schedule.x[0, :, :3] = x
     tiny = np.finfo(float).tiny
     for epoch in range(epochs):
+        schedule.y[0] = y   # an epoch writes its errors over its targets
         _kernels.epoch_step(schedule, epoch, lr)
         assert not np.any((mv != 0) & (np.abs(mv) < tiny)), epoch
         for start in range(0, n, 8):
@@ -234,6 +257,31 @@ def test_flush_moves_only_weights_below_its_bound():
     assert moved.sum() == 3
     assert np.all(np.abs(got[moved]) < 0.001 * 4e-283)
     assert np.all(np.abs(want[moved]) < 0.001 * 4e-283)
+
+
+def test_gradients_leave_their_inputs_as_they_are():
+    # the kernel writes the output errors over its targets, so gradients and
+    # backward work on a copy: the caller's arrays keep their values, and a
+    # second call gives the same result
+    rng = np.random.default_rng(4)
+    p = init_params(16, 3)
+    x, q = rng.uniform(0, 1, (8, 3)), rng.normal(0, 1, (8, 3))
+    x0, q0 = x.copy(), q.copy()
+    first = backward(p, x, q)
+    second = backward(p, x, q)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(q, q0)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+
+    params = _kernels.unpack(flat_of(p)[None], 16)
+    err, g = _kernels.gradients(*params, x[None], q[None])
+    err2, g2 = _kernels.gradients(*params, x[None], q[None])
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(q, q0)
+    np.testing.assert_array_equal(err, err2)
+    np.testing.assert_array_equal(g, g2)
+    np.testing.assert_array_equal(err[0], predict(p, x) - q)
 
 
 def test_relu_mask_zeroes_where_pre_activation_is_not_positive():
