@@ -43,8 +43,11 @@ def git(*args, cwd="."):
 
 
 def checkout(repo, sha, where):
-    """A clone of ``repo`` at ``sha`` in ``where``, made once."""
-    if not os.path.isdir(os.path.join(where, ".git")):
+    """A clone of ``repo`` at ``sha`` in ``where``: made once, and fetched
+    into when it is reused, so that it knows commits made since."""
+    if os.path.isdir(os.path.join(where, ".git")):
+        git("fetch", "--quiet", repo, cwd=where)
+    else:
         subprocess.run(["git", "clone", "--quiet", "--no-checkout", repo, where], check=True)
     git("checkout", "--quiet", "--detach", sha, cwd=where)
     return where
