@@ -126,9 +126,9 @@ def _cmd_bound(args, box_override):
     saved = load_model(args.model)
     box = box_override if box_override is not None else saved.box
     k = saved.meta.get("samples_per_axis")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"{args.model}: model metadata lacks a positive integer "
-                         "samples_per_axis; cannot size the bound")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"{args.model}: model metadata lacks an integer "
+                         "samples_per_axis >= 2; cannot size the bound")
     report = compute_bound_report(saved.params, k ** 3, box)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK

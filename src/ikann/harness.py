@@ -3,10 +3,8 @@ convergence-rate fitting, and CSV/JSON persistence.
 
 Runs are deterministic per (k, seed, config). The sweep builds every k's grid
 once, first, and then trains all its cells in one ``neuralnet.train_lockstep``
-call. That trains the largest k's cells in this process and, given two usable
-CPUs, the other cells at the same time in one forked child. A model computes
-exactly what it computes alone, in either process, so the rows never depend
-on how cells are grouped. Rows are emitted sorted by (k, seed).
+call. A model computes exactly what it computes alone, so the rows never
+depend on how cells are grouped. Rows are emitted sorted by (k, seed).
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
 MODEL_SCHEMA = "ik-ann-model/1"
 DATASET_HEADER = "x1_mm,x2_mm,x3_mm,q1_rad,q2_rad,q3_rad"
 TRAJECTORY_HEADER = "idx,x1_ref,x2_ref,x3_ref,x1_pred,x2_pred,x3_pred,err_mm"
-
-_REL_TOL = 1e-12
 
 
 def _fmt(v) -> str:
@@ -109,25 +105,6 @@ class SweepRow:
     @property
     def failed(self) -> bool:
         return self.path_kind.startswith("error:")
-
-    def validate(self):
-        """Check the row invariants of a row that did not fail."""
-        if self.failed:
-            return
-        if self.n != self.k ** 3:
-            raise ValueError(f"n={self.n} is not k^3 for k={self.k}")
-        if abs(self.err_to_spacing - self.mean_err_mm / self.spacing_mm) \
-                > _REL_TOL * max(1.0, abs(self.err_to_spacing)):
-            raise ValueError("err_to_spacing inconsistent with mean_err_mm/spacing_mm")
-        norm = bound_mod.sample_bound(self.n, self.w_bar)
-        if not (math.isfinite(self.est_bound_mm) and self.est_bound_mm >= 0.0 and norm > 0.0):
-            raise ValueError("est_bound_mm must be a finite nonnegative rescale of the bound")
-
-    @classmethod
-    def from_csv_fields(cls, values: list) -> "SweepRow":
-        if len(values) != len(REPORT_COLUMNS):
-            raise ValueError(f"expected {len(REPORT_COLUMNS)} report fields, got {len(values)}")
-        return cls(*(t(v) for t, v in zip(_COLUMN_TYPES.values(), values)))
 
 
 REPORT_COLUMNS = [f.name for f in fields(SweepRow)]
@@ -291,22 +268,6 @@ def emit_report(rows, summary: SweepSummary, path, json_path=None, metadata: dic
             fh.write("\n")
 
 
-def load_report(path) -> list:
-    """Read a sweep CSV back into validated rows."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty report file")
-    if lines[0] != ",".join(REPORT_COLUMNS):
-        raise ValueError(f"{path}: unexpected report header")
-    rows = []
-    for ln in lines[1:]:
-        row = SweepRow.from_csv_fields(ln.split(","))
-        row.validate()
-        rows.append(row)
-    return rows
-
-
 def write_training_curve(trace: TrainingTrace, path):
     _write_csv(path, "epoch,train_loss,val_loss",
                zip(itertools.count(1), trace.train_loss, trace.val_loss))
@@ -372,18 +333,6 @@ def load_model(path) -> SavedModel:
 
 def export_dataset(ds: TrainingSet, path):
     _write_csv(path, DATASET_HEADER, np.hstack([ds.points, ds.angles]).tolist())
-
-
-def import_dataset(path):
-    """Read back an exported grid; returns (points, angles) arrays."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    if lines[0] != DATASET_HEADER:
-        raise ValueError(f"{path}: unexpected dataset header")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return data[:, :3], data[:, 3:]
 
 
 def export_trajectory(traj: TrajectorySpec, model, geom: RobotGeometry,

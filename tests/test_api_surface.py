@@ -1,6 +1,7 @@
-"""Tooling guard on the package's public surface: every public top-level
-name has a caller in code outside the tests, and the package exports exactly
-the names the README's "Library" section imports."""
+"""Tooling guard on the package's surface: every public top-level name has
+a caller in code outside the tests, every private top-level name has one in
+the package, and the package exports exactly the names the README's
+"Library" section imports."""
 
 import ast
 from pathlib import Path
@@ -13,14 +14,10 @@ PACKAGE = sorted((ROOT / "src" / "ikann").glob("*.py"))
 CALLERS = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
-# Readers of the program's own files, for users to load a report or a grid
-# back; nothing in the package needs to read what it has just written.
-ALLOWED_UNUSED = {"load_report", "import_dataset"}
 
-
-def public_definitions(tree):
-    """(name, first line, last line) of each public top-level function,
-    class and assignment of a module."""
+def top_level_definitions(tree):
+    """(name, first line, last line) of each top-level function, class and
+    assignment of a module; dunder names such as ``__all__`` are Python's."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -31,7 +28,7 @@ def public_definitions(tree):
         else:
             continue
         yield from ((name, node.lineno, node.end_lineno)
-                    for name in names if not name.startswith("_"))
+                    for name in names if not (name.startswith("__") and name.endswith("__")))
 
 
 def name_uses(tree):
@@ -48,22 +45,28 @@ def name_uses(tree):
                 yield part, node.lineno
 
 
-def unused_public_names(package=PACKAGE, callers=CALLERS):
-    """Public names of the ``package`` modules that the code of ``callers``
-    uses nowhere outside their own definition."""
+def unused_names(package=PACKAGE, callers=CALLERS):
+    """Top-level names of the ``package`` modules that no code uses outside
+    their own definition: for a public name, the code of ``callers``; for a
+    private one, the code of ``package``."""
     trees = {p: ast.parse(p.read_text()) for p in {*package, *callers}}
-    uses = {p: list(name_uses(trees[p])) for p in callers}
+    uses = {p: list(name_uses(tree)) for p, tree in trees.items()}
     unused = []
     for path in package:
-        for name, first, last in public_definitions(trees[path]):
+        for name, first, last in top_level_definitions(trees[path]):
+            users = package if name.startswith("_") else callers
             if not any(used == name and (p != path or not first <= line <= last)
-                       for p, found in uses.items() for used, line in found):
+                       for p in users for used, line in uses[p]):
                 unused.append(name)
     return unused
 
 
 def test_public_names_have_callers_outside_tests():
-    assert sorted(unused_public_names()) == sorted(ALLOWED_UNUSED)
+    assert [name for name in unused_names() if not name.startswith("_")] == []
+
+
+def test_private_names_have_callers_in_the_package():
+    assert [name for name in unused_names() if name.startswith("_")] == []
 
 
 def test_guard_counts_code_not_prose(tmp_path):
@@ -79,9 +82,20 @@ def test_guard_counts_code_not_prose(tmp_path):
         '    """Unlike :func:`orphan`, which nothing calls."""\n'
         '    # orphan() would go here\n'
         '    return f"orphan {caller.__name__}"\n')
-    assert "orphan" in unused_public_names(PACKAGE + [mutant], CALLERS + [mutant])
+    assert "orphan" in unused_names(PACKAGE + [mutant], CALLERS + [mutant])
     mutant.write_text(mutant.read_text() + '\n\nVALUE = f"{orphan()}"\n')
-    assert "orphan" not in unused_public_names(PACKAGE + [mutant], CALLERS + [mutant])
+    assert "orphan" not in unused_names(PACKAGE + [mutant], CALLERS + [mutant])
+
+
+def test_guard_counts_private_names(tmp_path):
+    # a mutant package module with a private constant that only a caller
+    # outside the package and its own definition use
+    mutant, bench = tmp_path / "mutant.py", tmp_path / "bench.py"
+    mutant.write_text('_TOL = 1e-12\n')
+    bench.write_text('from mutant import _TOL\n')
+    assert "_TOL" in unused_names(PACKAGE + [mutant], CALLERS + [mutant, bench])
+    mutant.write_text(mutant.read_text() + '\n\nLIMIT = 2 * _TOL\n')
+    assert "_TOL" not in unused_names(PACKAGE + [mutant], CALLERS + [mutant, bench])
 
 
 def readme_library_names():

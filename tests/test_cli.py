@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from ikann.cli import _build_parser, main
-from ikann.harness import load_model
-from ikann.neuralnet import TrainingConfig
+from ikann.harness import load_model, save_model
+from ikann.neuralnet import TrainingConfig, init_params
 
 
 def test_dataset_command(tmp_path, capsys):
@@ -163,6 +163,16 @@ def test_bad_model_file_exit_2(tmp_path, capsys, text):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {model}: ")
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("k", [1, 0, True, "3"])
+def test_bound_needs_samples_per_axis_of_2_or_more(tmp_path, capsys, box, k):
+    model = tmp_path / "model.json"
+    save_model(init_params(4, 1), model, box, meta={"samples_per_axis": k})
+    assert main(["bound", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {model}: ")
 
 
 def test_runtime_failure_exit_3(tmp_path, capsys):

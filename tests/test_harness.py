@@ -13,9 +13,8 @@ from ikann.bound import sample_bound
 from ikann.errors import InsufficientData
 from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            emit_report, export_dataset, export_trajectory,
-                           fit_convergence_rate, import_dataset, load_model,
-                           load_report, run_experiment, run_sweep, save_model,
-                           summarize, write_training_curve)
+                           fit_convergence_rate, load_model, run_experiment,
+                           run_sweep, save_model, summarize, write_training_curve)
 from ikann.neuralnet import NetworkParams, TrainingConfig, init_params
 from ikann.sampler import WorkspaceBox, generate_grid
 from ikann.trajectory import PathOutsideBoxWarning, make_heart_path, make_rectangle_path
@@ -42,7 +41,6 @@ def test_run_experiment_k5(box):
     assert row.split_sizes == "113/6/6"
     assert row.path_kind == "rectangle"
     assert row.err_to_spacing == pytest.approx(row.mean_err_mm / 15.0, rel=1e-15)
-    row.validate()
     assert row.est_bound_mm == sample_bound(row.n, row.w_bar) * 60.0
 
 
@@ -167,7 +165,8 @@ def test_run_sweep_degenerate_grid_fails_only_its_k():
     res = run_sweep([2, 3], [1, 2], cfg)
     assert [(r.k, r.failed) for r in res.rows] == [(2, False), (2, False), (3, True), (3, True)]
     for r in res.rows[:2]:
-        r.validate()
+        assert r.n == r.k ** 3
+        assert r.err_to_spacing == r.mean_err_mm / r.spacing_mm
         assert r.est_bound_mm == sample_bound(r.n, r.w_bar) * 60.0
         assert math.isfinite(r.mean_err_mm)
     assert {r.path_kind for r in res.rows[2:]} == {"error:DegenerateAxis"}
@@ -210,14 +209,7 @@ def test_report_roundtrip(tmp_path):
     header = text.splitlines()[0]
     assert header.split(",") == REPORT_COLUMNS
     assert len(REPORT_COLUMNS) == 15
-    rows = load_report(path)
-    assert rows == res.rows
-
-
-def row_bits(row):
-    """A row's fields with each float as its bit pattern and every other
-    value with its type."""
-    return [struct.pack("<d", v) if type(v) is float else (type(v), v) for v in astuple(row)]
+    assert [len(line.split(",")) for line in text.splitlines()[1:]] == [15, 15]
 
 
 finite_or_odd = st.floats(allow_nan=False) | st.just(math.nan)
@@ -226,7 +218,7 @@ nonneg = st.floats(min_value=0.0, allow_infinity=False)
 
 @st.composite
 def ok_rows(draw):
-    # a row that SweepRow.validate accepts
+    # a row of a cell that did not fail
     k = draw(st.integers(2, 12))
     err = draw(nonneg)
     d = draw(st.floats(1e-3, 1e3))
@@ -259,15 +251,23 @@ def marker_rows(draw):
              "rectangle", "25/1/1"),
 ])
 def test_report_roundtrip_bitwise_property(tmp_path_factory, rows):
-    # every value of a report reads back with its bits and type, NaN, -0.0
-    # and subnormals included; the summary goes only into the JSON mirror
+    # every value of a report reads back from its text with its bits, NaN,
+    # -0.0, subnormals and infinities included; the summary goes only into
+    # the JSON mirror
     path = tmp_path_factory.mktemp("report") / "r.csv"
     emit_report(rows, None, path)
-    loaded = load_report(path)
-    assert [row_bits(r) for r in loaded] == [row_bits(r) for r in rows]
-    again = path.with_name("again.csv")
-    emit_report(loaded, None, again)
-    assert again.read_bytes() == path.read_bytes()
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        texts = line.split(",")
+        assert len(texts) == 15
+        for value, text in zip(astuple(row), texts):
+            if type(value) is float:
+                assert struct.pack("<d", float(text)) == struct.pack("<d", value)
+            elif type(value) is int:
+                assert int(text) == value
+            else:
+                assert text == value
 
 
 def test_report_emission_bitwise_deterministic(tmp_path):
@@ -308,24 +308,6 @@ def test_sweep_numpy_integers_reported_as_ints(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["summary"]["ks"] == [2, 3]
     assert [(r["k"], r["seed"]) for r in doc["rows"]] == [(2, 1), (3, 1)]
-
-
-def test_report_row_field_count_checked(tmp_path):
-    path = tmp_path / "r.csv"
-    emit_report([synthetic_row(3, 1, 5.0)], None, path)
-    line = path.read_text().splitlines()[1]
-    for bad in (line.rsplit(",", 1)[0], line + ",extra"):
-        path.write_text(",".join(REPORT_COLUMNS) + f"\n{bad}\n")
-        with pytest.raises(ValueError, match="report fields"):
-            load_report(path)
-
-
-def test_empty_files_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("\n")
-    for loader in (load_report, import_dataset):
-        with pytest.raises(ValueError, match="empty.csv"):
-            loader(path)
 
 
 def test_model_roundtrip_bitwise(tmp_path, box):
@@ -426,9 +408,8 @@ def test_dataset_roundtrip(tmp_path, box, geom):
     path = tmp_path / "grid.csv"
     export_dataset(ds, path)
     assert path.read_text().splitlines()[0] == "x1_mm,x2_mm,x3_mm,q1_rad,q2_rad,q3_rad"
-    points, angles = import_dataset(path)
-    np.testing.assert_array_equal(points, ds.points)
-    np.testing.assert_array_equal(angles, ds.angles)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert same_bits(data, np.hstack([ds.points, ds.angles]))
 
 
 def test_trajectory_export(tmp_path, box, geom, trained_k3):
@@ -468,10 +449,3 @@ def test_training_curve_file(tmp_path, trained_k3):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"
     assert len(lines) == 1 + trace.epochs_run
-
-
-def test_row_validation_catches_drift():
-    row = synthetic_row(3, 1, 5.0)
-    row.err_to_spacing = 99.0
-    with pytest.raises(ValueError):
-        row.validate()

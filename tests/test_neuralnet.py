@@ -244,6 +244,17 @@ def test_train_no_early_stop_runs_full_length(box):
     assert not trace.stopped_early
 
 
+def test_loss_history_grows_past_1024_epochs(box):
+    # the per-epoch loss buffer starts at 1024 epochs and doubles on demand;
+    # the epochs before the growth keep their values
+    ds = generate_grid(box, 2)
+    _, long = train(ds, TrainingConfig(seed=1, max_epochs=1100, early_stopping=False))
+    _, short = train(ds, TrainingConfig(seed=1, max_epochs=1024, early_stopping=False))
+    assert len(long.train_loss) == len(long.val_loss) == long.epochs_run == 1100
+    assert long.train_loss[:1024] == short.train_loss
+    assert long.val_loss[:1024] == short.val_loss
+
+
 def test_train_deterministic(box):
     ds = generate_grid(box, 3)
     cfg = TrainingConfig(seed=5, max_epochs=30)
