@@ -12,6 +12,13 @@ the tip position is
 
 The closed-form inverse has two elbow solutions; branch "A" (the default)
 takes q3 <= 0, branch "B" the mirror.
+
+``_solve`` is the one reach rule of the package: ``inverse_kinematics``,
+the training grid (``sampler.generate_grid``) and the exact-IK model
+(``trajectory.exact_ik_model``) all label points through it, one point of
+Python floats at a time. It stays scalar ``math`` on purpose: ``np.arctan2``
+and ``np.hypot`` differ from ``math.atan2`` and ``math.hypot`` in the last
+bit for some inputs, so a vectorised solve would change the labels.
 """
 
 from __future__ import annotations
@@ -74,23 +81,28 @@ def forward_kinematics_batch(q: np.ndarray, geom: RobotGeometry = DEFAULT_GEOMET
 def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Joint angles realizing tip position ``x`` in mm.
 
-    This is the one reach rule of the package: it raises UnreachableTarget
-    when no elbow angle places the tip at ``x`` (|D| beyond 1 by more than
-    rounding noise, or a non-finite coordinate), and DegenerateAxis on the
-    base axis (x1 = x2 = 0), where the yaw is undefined.
+    It raises UnreachableTarget when no elbow angle places the tip at ``x``
+    (|D| beyond 1 by more than rounding noise, or a non-finite coordinate),
+    and DegenerateAxis on the base axis (x1 = x2 = 0), where the yaw is
+    undefined.
     """
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    return np.array(_solve(float(x[0]), float(x[1]), float(x[2]), geom))
+
+
+def _solve(x1: float, x2: float, x3: float, geom: RobotGeometry) -> tuple:
+    """``inverse_kinematics`` of one point given as Python floats, as a tuple."""
     r = math.hypot(x1, x2)
     if r < _AXIS_TOL:
         raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
     s = x3 - geom.l1
-    d = (r * r + s * s - geom.l2 ** 2 - geom.l3 ** 2) / (2.0 * geom.l2 * geom.l3)
+    l2, l3 = geom.l2, geom.l3
+    d = (r * r + s * s - l2 ** 2 - l3 ** 2) / (2.0 * l2 * l3)
     # written so that NaN fails too
     if not abs(d) <= 1.0 + _REACH_TOL:
         raise UnreachableTarget(f"({x1}, {x2}, {x3}) is outside the workspace (D={d:.6g})")
-    d = min(1.0, max(-1.0, d))
+    d = 1.0 if d > 1.0 else -1.0 if d < -1.0 else d
     root = math.sqrt(1.0 - d * d)
     q3 = math.atan2(-root if geom.elbow_branch == ELBOW_A else root, d)
     q1 = math.atan2(x2, x1)
-    q2 = math.atan2(s, r) - math.atan2(geom.l3 * math.sin(q3), geom.l2 + geom.l3 * math.cos(q3))
-    return np.array([q1, wrap_angle(q2), q3])
+    q2 = math.atan2(s, r) - math.atan2(l3 * math.sin(q3), l2 + l3 * math.cos(q3))
+    return q1, wrap_angle(q2), q3

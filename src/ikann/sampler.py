@@ -1,24 +1,22 @@
 """Evenly spaced Cartesian training grids with inverse-kinematics labels.
 
-A grid point is in reach exactly when ``inverse_kinematics`` labels it; the
-grid applies no reach test of its own. Inputs are normalized to [0, 1] per
-axis using the box bounds (not the data); joint-angle outputs stay in raw
-radians.
+A grid point is in reach exactly when ``inverse_kinematics`` labels it: the
+grid feeds each point, as Python floats, to the same scalar core
+(``kinematics._solve``) and applies no reach test of its own. The loop stays
+scalar ``math``, since a vectorised numpy solve differs in the last bits of
+some labels. Inputs are normalized to [0, 1] per axis using the box bounds
+(not the data); joint-angle outputs stay in raw radians.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotACube, UnreachableGridPoint, UnreachableTarget
-from .kinematics import (
-    DEFAULT_GEOMETRY,
-    RobotGeometry,
-    forward_kinematics_batch,
-    inverse_kinematics,
-)
+from .errors import DegenerateAxis, NotACube, UnreachableGridPoint, UnreachableTarget
+from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve, forward_kinematics_batch
 
 # FK(IK(X)) must reproduce every grid point to this accuracy, else the
 # labelling is considered broken.
@@ -72,7 +70,7 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
 
     Points are ordered row-major (x1 slowest, x3 fastest). Raises
     UnreachableGridPoint for the first point that inverse kinematics cannot
-    reach.
+    reach, and DegenerateAxis naming the first point on the base axis.
     """
     if k < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -80,12 +78,17 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    angles = np.empty_like(points)
-    for idx, p in enumerate(points):
-        try:
-            angles[idx] = inverse_kinematics(p, geom)
-        except UnreachableTarget:
-            raise UnreachableGridPoint(idx, p) from None
+    def labels():
+        # the rows of ``points``, in order, as tuples of Python floats
+        for idx, p in enumerate(itertools.product(*(a.tolist() for a in axes))):
+            try:
+                yield _solve(*p, geom)
+            except UnreachableTarget:
+                raise UnreachableGridPoint(idx, p) from None
+            except DegenerateAxis:
+                raise DegenerateAxis(f"grid point {idx} at {p} mm lies on the base axis") from None
+
+    angles = np.fromiter(labels(), dtype=(float, 3), count=len(points))
     residual = np.linalg.norm(forward_kinematics_batch(angles, geom) - points, axis=1)
     worst = float(residual.max())
     if worst >= _LABEL_TOL_MM:

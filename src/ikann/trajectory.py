@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import warn_caller
-from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, forward_kinematics_batch, inverse_kinematics
+from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve, forward_kinematics_batch
 from .neuralnet import NetworkParams, predict
 from .sampler import DEFAULT_BOX, WorkspaceBox, normalize_input
 
@@ -108,7 +108,9 @@ def exact_ik_model(geom: RobotGeometry = DEFAULT_GEOMETRY):
     """Oracle predictor: analytic IK applied point by point (mm in, rad out)."""
 
     def solve(points_mm: np.ndarray) -> np.ndarray:
-        return np.array([inverse_kinematics(p, geom) for p in np.atleast_2d(points_mm)])
+        pts = np.atleast_2d(np.asarray(points_mm, dtype=float)).tolist()
+        return np.fromiter((_solve(x1, x2, x3, geom) for x1, x2, x3 in pts),
+                           dtype=(float, 3), count=len(pts))
 
     return solve
 

@@ -187,6 +187,23 @@ def test_runtime_failure_exit_3(tmp_path, capsys):
         "error: grid point 4 at (140.0, 0.0, 69.0) mm is unreachable\n"
 
 
+def test_grid_point_on_base_axis_exit_2(tmp_path, capsys):
+    # like an unreachable point, the error names the grid index and point;
+    # a point on the base axis is bad configuration (exit 2), not a runtime
+    # failure (exit 3)
+    rc = main(["--box", "0,10,0,10,0,10", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: grid point 0 at (0.0, 0.0, 0.0) mm lies on the base axis\n"
+    assert not (tmp_path / "g.csv").exists()
+    rc = main(["--box=-10,10,-10,10,5,15", "dataset", "--samples-per-axis", "3",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: grid point 12 at (0.0, 0.0, 5.0) mm lies on the base axis\n"
+
+
 @pytest.mark.parametrize("box", ["20,inf,20,80,0,60", "20,80,-inf,80,0,60", "20,80,20,80,0,nan"])
 def test_non_finite_box_exit_2(tmp_path, capsys, box):
     rc = main([f"--box={box}", "dataset", "--samples-per-axis", "2",

@@ -124,6 +124,49 @@ def test_continuity_probe(box, geom):
         checked += 1
 
 
+def closed_form_ik(x1, x2, x3, geom):
+    """The closed-form inverse written out with ``math``, operation by
+    operation in the package's order: the independent copy that pins the bits
+    of every IK label (numpy's arctan2 and hypot differ in the last bit for
+    some inputs)."""
+    r = math.hypot(x1, x2)
+    if r < 1e-9:
+        raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
+    s = x3 - geom.l1
+    d = (r * r + s * s - geom.l2 ** 2 - geom.l3 ** 2) / (2.0 * geom.l2 * geom.l3)
+    if not abs(d) <= 1.0 + 1e-12:
+        raise UnreachableTarget(f"({x1}, {x2}, {x3}) is outside the workspace (D={d:.6g})")
+    d = min(1.0, max(-1.0, d))
+    root = math.sqrt(1.0 - d * d)
+    q3 = math.atan2(-root if geom.elbow_branch == ELBOW_A else root, d)
+    q2 = math.atan2(s, r) - math.atan2(geom.l3 * math.sin(q3), geom.l2 + geom.l3 * math.cos(q3))
+    return math.atan2(x2, x1), wrap_angle(q2), q3
+
+
+@pytest.mark.parametrize("links", [(70.0, 70.0, 70.0), (70.0, 70.0, 50.0)])
+@pytest.mark.parametrize("branch", [ELBOW_A, ELBOW_B])
+def test_inverse_kinematics_is_the_closed_form_bitwise(links, branch):
+    geom = RobotGeometry(*links, elbow_branch=branch)
+    rng = np.random.default_rng(12)
+    pts = rng.uniform((-150.0, -150.0, -80.0), (150.0, 150.0, 220.0), size=(3000, 3))
+    # on the base axis, on both spheres of the shell and just beyond them
+    pts[:6] = [(0.0, 0.0, 10.0), (0.0, 0.0, 70.0), (geom.l2 + geom.l3, 0.0, 70.0),
+               (geom.l2 - geom.l3 or 1.0, 0.0, 70.0), (200.0, 0.0, 70.0), (math.nan, 1.0, 1.0)]
+    outcomes = set()
+    for p in pts:
+        try:
+            want = np.array(closed_form_ik(*p.tolist(), geom))
+        except (DegenerateAxis, UnreachableTarget) as ref:
+            with pytest.raises(type(ref)) as exc:
+                inverse_kinematics(p, geom)
+            assert str(exc.value) == str(ref)
+            outcomes.add(type(ref))
+            continue
+        assert inverse_kinematics(p, geom).tobytes() == want.tobytes()
+        outcomes.add(None)
+    assert outcomes == {None, DegenerateAxis, UnreachableTarget}
+
+
 def test_geometry_validation():
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         for links in ((bad, 70.0, 70.0), (70.0, bad, 70.0), (70.0, 70.0, bad)):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ikann.errors import NotACube, UnreachableGridPoint, UnreachableTarget
-from ikann.kinematics import RobotGeometry, forward_kinematics_batch, inverse_kinematics
+from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry, forward_kinematics_batch,
+                              inverse_kinematics)
 from ikann.sampler import (WorkspaceBox, generate_grid, half_spacing_normalized,
                            normalize_input, spacing_mm)
 
@@ -56,6 +57,25 @@ def test_grid_and_ik_agree_on_outer_sphere(geom):
         generate_grid(box, 2, geom)
     assert exc.value.index == 4
     assert tuple(exc.value.point) == p
+
+
+def per_point_ik(points, geom):
+    return np.array([inverse_kinematics(p, geom) for p in points])
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_grid_labels_are_per_point_ik_bitwise(box, geom, k):
+    ds = generate_grid(box, k, geom)
+    assert ds.angles.tobytes() == per_point_ik(ds.points, geom).tobytes()
+
+
+@pytest.mark.parametrize("branch", [ELBOW_A, ELBOW_B])
+def test_inner_band_labels_are_per_point_ik_bitwise(branch):
+    geom = RobotGeometry(l1=70.0, l2=70.0, l3=50.0, elbow_branch=branch)
+    box = WorkspaceBox(lo=np.array([20.0 - 5e-11, 0.0, 70.0]), hi=np.array([30.0, 10.0, 80.0]))
+    for k in (2, 7):
+        ds = generate_grid(box, k, geom)
+        assert ds.angles.tobytes() == per_point_ik(ds.points, geom).tobytes()
 
 
 def test_grid_labels_roundtrip(box, geom):

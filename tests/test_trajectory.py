@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from ikann.kinematics import forward_kinematics_batch, inverse_kinematics
+from ikann.errors import DegenerateAxis, UnreachableTarget
+from ikann.kinematics import RobotGeometry, forward_kinematics_batch, inverse_kinematics
 from ikann.neuralnet import predict
 from ikann.sampler import WorkspaceBox, normalize_input
 from ikann.trajectory import (PathOutsideBoxWarning, TrajectorySpec,
@@ -71,6 +74,32 @@ def test_exact_ik_oracle_zero_error(box, geom):
     for traj in (make_rectangle_path(box), make_heart_path()):
         rep = evaluate_tracking(oracle, traj, geom, box)
         assert rep.max_mm < 1e-9
+
+
+@pytest.mark.parametrize("geom", [RobotGeometry(), RobotGeometry(elbow_branch="B")])
+def test_exact_ik_model_is_per_point_ik_bitwise(box, geom):
+    for traj in (make_rectangle_path(box), make_heart_path()):
+        want = np.array([inverse_kinematics(p, geom) for p in traj.points])
+        assert exact_ik_model(geom)(traj.points).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [((300.0, 0.0, 0.0), UnreachableTarget),
+                                        ((math.nan, 50.0, 30.0), UnreachableTarget),
+                                        ((0.0, 0.0, 30.0), DegenerateAxis)])
+def test_exact_ik_model_fails_at_the_row_ik_fails(geom, bad, error):
+    pts = make_heart_path().points
+    for row in (0, 57, len(pts) - 1):
+        with_bad = pts.copy()
+        with_bad[row] = bad
+        # a later bad row of the other kind does not change which one is named
+        if row + 1 < len(pts):
+            other = (0.0, 0.0, 31.0) if error is UnreachableTarget else (0.0, 300.0, 0.0)
+            with_bad[row + 1] = other
+        with pytest.raises(error) as exc:
+            exact_ik_model(geom)(with_bad)
+        with pytest.raises(error) as ref:
+            inverse_kinematics(with_bad[row], geom)
+        assert str(exc.value) == str(ref.value)
 
 
 def test_constant_model_mean_distance(box, geom):

@@ -15,7 +15,9 @@ record keeps the quartiles (inclusive method) of ``setup_s``, ``wall_s`` and
 ``peak_rss_mb`` over the pairs, the runs' ``wall_s``, whether every run was
 correct, and the operations attempted and failed; per workload the number of
 pairs in which the change's ``wall_s`` was lower and the change of the median
-in percent.
+in percent. After the pairs, each side makes one ``--trace 1`` run with seed
+``seed0 + pairs``, parent first, and the record keeps both sides' per-layer
+metrics, so that it shows in which layer a difference appears.
 
 ``--out`` is read first if it exists: workloads are added to it, and a
 workload it already holds gets the new pairs as its ``repeat``. Give
@@ -34,7 +36,7 @@ ORDER = ("record", "change", "parent_sha", "change_sha", "note", "environment", 
          "method", "workloads")
 METHOD = ("alternating pairs, the side that runs first alternating from pair to pair; each "
           "side runs in its own clone of its commit; medians and quartiles (inclusive "
-          "method) over the pairs")
+          "method) over the pairs; per-layer metrics from one --trace 1 run per side")
 
 
 def git(*args, cwd="."):
@@ -53,10 +55,10 @@ def checkout(repo, sha, where):
     return where
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """The two JSON lines a perfbench run ends with: (environment, result)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, check=True, text=True, stdout=subprocess.PIPE)
     *_, env_line, result_line = proc.stdout.splitlines()
     return json.loads(env_line)["environment"], json.loads(result_line)
@@ -94,6 +96,14 @@ def compare(trees, workload, pairs, seed0, seconds):
     block["wall_s_pairs_change_faster"] = sum(c < p for p, c in zip(*walls))
     block["wall_s_median_change_pct"] = round(
         100.0 * (statistics.median(walls[1]) / statistics.median(walls[0]) - 1.0), 1)
+    traced = {"seed": seed0 + pairs}
+    for side in ("parent", "change"):
+        _, result = run_once(trees[side], workload, seed0 + pairs, seconds, trace=1)
+        traced[side] = {"correct": result["correct"],
+                        "metrics": {name: float(f"{m['value']:.4g}")
+                                    for name, m in result["metrics"].items()}}
+        print(f"{workload} traced run {side} done", file=sys.stderr, flush=True)
+    block["trace"] = traced
     return env, block
 
 
