@@ -94,9 +94,9 @@ def check_weight_range(p: NetworkParams):
 
 def compute_bound_report(p: NetworkParams, n: int, box: WorkspaceBox) -> BoundReport:
     """Assemble every bound quantity for a trained model and sample count."""
-    check_weight_range(p)
     w_bar = mean_abs_output_weight(p)
-    normalized = sample_bound(n, w_bar)
+    normalized = sample_bound(n, w_bar)   # a bad n raises before any warning
+    check_weight_range(p)
     return BoundReport(
         gamma=lipschitz_gamma(p),
         w_bar=w_bar,

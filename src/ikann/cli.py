@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound import WeightRangeWarning, compute_bound_report
-from .errors import IkannError, NonFiniteLoss, UnreachableGridPoint
+from .errors import IkannError, NonFiniteLoss, NotACube, UnreachableGridPoint
 from .harness import (HarnessConfig, emit_report, export_dataset,
                       export_trajectory, load_model, run_sweep, save_model,
                       write_training_curve)
@@ -129,7 +129,13 @@ def _cmd_bound(args, box_override):
     if type(k) is not int or k < 2:
         raise ValueError(f"{args.model}: model metadata lacks an integer "
                          "samples_per_axis >= 2; cannot size the bound")
-    report = compute_bound_report(saved.params, k ** 3, box)
+    try:
+        report = compute_bound_report(saved.params, k ** 3, box)
+    except (OverflowError, NotACube):
+        # k ** 3 is a cube, but its float cube root misses k from about
+        # k = 1e15 on, and overflows from about k = 6e102 on
+        raise ValueError(f"{args.model}: samples_per_axis is too large "
+                         "to size the bound") from None
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: single runs, the samples-per-axis sweep,
+"""Experiment orchestration: the samples-per-axis sweep of (k, seed) cells,
 convergence-rate fitting, and CSV/JSON persistence.
 
 Runs are deterministic per (k, seed, config). The sweep builds every k's grid
@@ -22,7 +22,7 @@ from . import bound as bound_mod
 from .errors import IkannError, InsufficientData
 from .kinematics import DEFAULT_GEOMETRY, RobotGeometry
 from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace, SPLIT_ROUNDING,
-                        split_sizes, train, train_lockstep)
+                        split_sizes, train_lockstep)
 from .sampler import DEFAULT_BOX, TrainingSet, WorkspaceBox, generate_grid, spacing_mm
 from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
                          evaluate_tracking, make_heart_path,
@@ -158,28 +158,17 @@ def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig,
     )
 
 
-def _check_ks(ks):
-    if not all(2 <= k <= 12 for k in ks):
-        raise ValueError("samples per axis must lie in [2, 12]")
-
-
-def run_experiment(k: int, seed: int, cfg: HarnessConfig = HarnessConfig()) -> SweepRow:
-    """Grid -> train -> track -> bound for one (k, seed); returns the row."""
-    _check_ks([k])
-    ds = generate_grid(cfg.box, k, cfg.geom)
-    params, trace = train(ds, replace(cfg.training, seed=seed))
-    return _finish_cell(k, seed, ds, cfg, params, trace)
-
-
 def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
               keep_models: bool = False) -> SweepResult:
     """Run every distinct (k, seed) combination once; failed cells become
-    marker rows and the sweep continues. Rows come back sorted by (k, seed)."""
+    marker rows and the sweep continues. Rows come back sorted by (k, seed).
+    One cell is ``run_sweep([k], [seed], cfg).rows[0]``."""
     ks = sorted({operator.index(k) for k in ks})
     seeds = sorted({operator.index(s) for s in seeds})
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
-    _check_ks(ks)
+    if not all(2 <= k <= 12 for k in ks):
+        raise ValueError("samples per axis must lie in [2, 12]")
     # one grid per k; a grid that cannot be built fails every seed of its k
     grids = {}
     for k in ks:

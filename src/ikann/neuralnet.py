@@ -33,7 +33,7 @@ class NetworkParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        h = self.w1.shape[0]
+        h = self.w1.shape[0] if self.w1.ndim else 0   # a 0-d w1 fails the shape test
         if self.w1.shape != (h, 3) or self.b1.shape != (h,) \
                 or self.w2.shape != (3, h) or self.b2.shape != (3,):
             raise ValueError("inconsistent parameter shapes")

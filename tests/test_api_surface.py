@@ -48,9 +48,11 @@ def name_uses(tree):
 def unused_names(package=PACKAGE, callers=CALLERS):
     """Top-level names of the ``package`` modules that no code uses outside
     their own definition: for a public name, the code of ``callers``; for a
-    private one, the code of ``package``."""
+    private one, the code of ``package``. The imports of an ``__init__.py``
+    are re-exports, which call nothing, so they count as no use."""
     trees = {p: ast.parse(p.read_text()) for p in {*package, *callers}}
-    uses = {p: list(name_uses(tree)) for p, tree in trees.items()}
+    uses = {p: [] if p.name == "__init__.py" else list(name_uses(tree))
+            for p, tree in trees.items()}
     unused = []
     for path in package:
         for name, first, last in top_level_definitions(trees[path]):
@@ -96,6 +98,17 @@ def test_guard_counts_private_names(tmp_path):
     assert "_TOL" in unused_names(PACKAGE + [mutant], CALLERS + [mutant, bench])
     mutant.write_text(mutant.read_text() + '\n\nLIMIT = 2 * _TOL\n')
     assert "_TOL" not in unused_names(PACKAGE + [mutant], CALLERS + [mutant, bench])
+
+
+def test_guard_counts_no_re_export(tmp_path):
+    # a mutant package module with a public function that only the mutant
+    # package's __init__.py imports, as a re-export
+    mutant, init = tmp_path / "mutant.py", tmp_path / "__init__.py"
+    mutant.write_text('def orphan():\n    return None\n')
+    init.write_text('from .mutant import orphan\n\n__all__ = ["orphan"]\n')
+    assert "orphan" in unused_names(PACKAGE + [mutant, init], CALLERS + [mutant, init])
+    mutant.write_text(mutant.read_text() + '\n\nVALUE = orphan()\n')
+    assert "orphan" not in unused_names(PACKAGE + [mutant, init], CALLERS + [mutant, init])
 
 
 def readme_library_names():

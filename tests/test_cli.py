@@ -153,6 +153,10 @@ def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
                  '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
                  '"input_max": [1, 1, Infinity], "meta": {"samples_per_axis": 2}}',
                  id="infinite-input-max"),
+    pytest.param('{"schema": "ik-ann-model/1", "hidden": 1, "w1": 5, "b1": [0], '
+                 '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
+                 '"input_max": [1, 1, 1], "meta": {"samples_per_axis": 2}}',
+                 id="scalar-w1"),
 ])
 def test_bad_model_file_exit_2(tmp_path, capsys, text):
     model = tmp_path / "bad.json"
@@ -167,6 +171,17 @@ def test_bad_model_file_exit_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("k", [1, 0, True, "3"])
 def test_bound_needs_samples_per_axis_of_2_or_more(tmp_path, capsys, box, k):
+    model = tmp_path / "model.json"
+    save_model(init_params(4, 1), model, box, meta={"samples_per_axis": k})
+    assert main(["bound", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {model}: ")
+
+
+@pytest.mark.parametrize("k", [10 ** 15, 10 ** 200])
+def test_bound_rejects_a_samples_per_axis_too_large_for_floats(tmp_path, capsys, box, k):
+    # k ** 3 has a root that floats lose (1e15) or cannot hold (1e200)
     model = tmp_path / "model.json"
     save_model(init_params(4, 1), model, box, meta={"samples_per_axis": k})
     assert main(["bound", "--model", str(model)]) == 2

@@ -13,8 +13,8 @@ from ikann.bound import sample_bound
 from ikann.errors import InsufficientData
 from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
                            emit_report, export_dataset, export_trajectory,
-                           fit_convergence_rate, load_model, run_experiment,
-                           run_sweep, save_model, summarize, write_training_curve)
+                           fit_convergence_rate, load_model, run_sweep,
+                           save_model, summarize, write_training_curve)
 from ikann.neuralnet import NetworkParams, TrainingConfig, init_params
 from ikann.sampler import WorkspaceBox, generate_grid
 from ikann.trajectory import PathOutsideBoxWarning, make_heart_path, make_rectangle_path
@@ -32,10 +32,15 @@ def synthetic_row(k, seed, err, w_bar=0.3, est=None, path="rectangle"):
                     path_kind=path, split_sizes="6/1/1")
 
 
-# --- run_experiment ---------------------------------------------------------
+def one_cell(k, seed, cfg=HarnessConfig()):
+    """The row of the one-cell sweep of (k, seed)."""
+    return run_sweep([k], [seed], cfg).rows[0]
+
+
+# --- one cell ---------------------------------------------------------------
 
 def test_run_experiment_k5(box):
-    row = run_experiment(5, 42, QUICK)
+    row = one_cell(5, 42, QUICK)
     assert row.n == 125
     assert row.spacing_mm == 15.0
     assert row.split_sizes == "113/6/6"
@@ -45,20 +50,13 @@ def test_run_experiment_k5(box):
 
 
 def test_run_experiment_deterministic():
-    a = run_experiment(3, 7, QUICK)
-    b = run_experiment(3, 7, QUICK)
+    a = one_cell(3, 7, QUICK)
+    b = one_cell(3, 7, QUICK)
     assert a == b
 
 
-def test_run_experiment_k_range():
-    with pytest.raises(ValueError):
-        run_experiment(1, 0, QUICK)
-    with pytest.raises(ValueError):
-        run_experiment(13, 0, QUICK)
-
-
 def test_run_experiment_heart_path():
-    row = run_experiment(3, 1, HarnessConfig(training=QUICK.training, path_kind="heart"))
+    row = one_cell(3, 1, HarnessConfig(training=QUICK.training, path_kind="heart"))
     assert row.path_kind == "heart"
     assert math.isfinite(row.mean_err_mm)
 
@@ -116,7 +114,7 @@ def test_sweep_rows_match_run_experiment():
     # k = 3 has a one-row tail batch, and seeds 1..5 include two that stop
     # early while the others train on to max_epochs
     res = run_sweep([3], range(1, 6))
-    assert res.rows == [run_experiment(3, s) for s in range(1, 6)]
+    assert res.rows == [one_cell(3, s) for s in range(1, 6)]
     assert len({r.epochs_run for r in res.rows}) > 2
 
 
@@ -132,13 +130,13 @@ def test_sweep_rows_independent_of_grouping():
        seeds=st.sets(st.integers(1, 6), min_size=1, max_size=3),
        max_epochs=st.integers(1, 30), patience=st.integers(1, 3),
        min_delta=st.sampled_from([1e-5, 1e-3, 1e-2]))
-def test_sweep_rows_match_run_experiment_property(ks, seeds, max_epochs, patience, min_delta):
+def test_sweep_rows_match_one_cell_sweeps_property(ks, seeds, max_epochs, patience, min_delta):
     # one stack of mixed grid sizes, where models stop early at different
     # epochs, gives each cell the row it gets alone
     cfg = HarnessConfig(training=TrainingConfig(max_epochs=max_epochs, patience=patience,
                                                 min_delta=min_delta))
     rows = run_sweep(ks, seeds, cfg).rows
-    assert rows == [run_experiment(k, s, cfg) for k in sorted(ks) for s in sorted(seeds)]
+    assert rows == [one_cell(k, s, cfg) for k in sorted(ks) for s in sorted(seeds)]
 
 
 def test_run_sweep_k_range():
@@ -384,6 +382,9 @@ def test_model_file_bad_keys_rejected(tmp_path, box):
     save_model(init_params(4, 1), good, box, meta={"samples_per_axis": 3})
     for key, value, message in (("meta", [], "key 'meta' must be a JSON object"),
                                 ("w1", [[1.0, 2.0]], "inconsistent parameter shapes"),
+                                ("w1", 5, "inconsistent parameter shapes"),
+                                ("w1", True, "inconsistent parameter shapes"),
+                                ("w1", None, "inconsistent parameter shapes"),
                                 ("b2", "abc", "key 'b2' is not an array of numbers"),
                                 ("input_min", {"a": 1}, "key 'input_min' is not an array"),
                                 ("input_max", [0.0, 0.0, 0.0], "lo < hi")):

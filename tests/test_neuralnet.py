@@ -42,6 +42,9 @@ def test_params_validation():
         NetworkParams(w1=np.zeros((4, 3)), b1=np.zeros(3), w2=np.zeros((3, 4)), b2=np.zeros(3))
     with pytest.raises(ValueError):
         NetworkParams(w1=np.full((1, 3), np.nan), b1=np.zeros(1), w2=np.zeros((3, 1)), b2=np.zeros(3))
+    for w1 in (5.0, 1.0, np.nan):   # a model file's scalar, true or null w1
+        with pytest.raises(ValueError, match="inconsistent parameter shapes"):
+            NetworkParams(w1=np.array(w1), b1=np.zeros(1), w2=np.zeros((3, 1)), b2=np.zeros(3))
 
 
 # --- forward ----------------------------------------------------------------
