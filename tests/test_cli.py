@@ -179,7 +179,7 @@ def test_bound_needs_samples_per_axis_of_2_or_more(tmp_path, capsys, box, k):
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {model}: ")
 
 
-@pytest.mark.parametrize("k", [10 ** 15, 10 ** 200])
+@pytest.mark.parametrize("k", [10 ** 15, 10 ** 200], ids=["1e15", "1e200"])
 def test_bound_rejects_a_samples_per_axis_too_large_for_floats(tmp_path, capsys, box, k):
     # k ** 3 has a root that floats lose (1e15) or cannot hold (1e200)
     model = tmp_path / "model.json"
