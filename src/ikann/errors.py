@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one way it warns."""
+"""Exception types shared across the package, and the one way it warns.
+
+Every exception here is built from its message alone, so it pickles as it
+is and crosses ``neuralnet.train_lockstep``'s fork pipe unchanged."""
 
 import os
 import sys
@@ -29,15 +32,8 @@ class DegenerateAxis(IkannError):
 
 
 class UnreachableGridPoint(IkannError):
-    """A training-grid point is not reachable by the arm."""
-
-    def __init__(self, index, point):
-        self.index = index
-        self.point = point
-        super().__init__(f"grid point {index} at {tuple(map(float, point))} mm is unreachable")
-
-    def __reduce__(self):   # unpickle through __init__'s own arguments
-        return type(self), (self.index, self.point)
+    """A training-grid point is not reachable by the arm; the message names
+    the point's grid index and coordinates."""
 
 
 class NotACube(IkannError):

@@ -138,10 +138,10 @@ class SweepResult:
     traces: dict | None = None
 
 
-def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig,
+def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig, path: TrajectorySpec,
                  params: NetworkParams, trace: TrainingTrace) -> SweepRow:
-    """Track and bound one trained model and build its row."""
-    report = evaluate_tracking(params, cfg.make_path(), cfg.geom, cfg.box)
+    """Track one trained model on ``path``, bound it and build its row."""
+    report = evaluate_tracking(params, path, cfg.geom, cfg.box)
     breport = bound_mod.compute_bound_report(params, ds.n, cfg.box)
     d = spacing_mm(cfg.box, k)
     return SweepRow(
@@ -169,6 +169,7 @@ def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
         raise ValueError("ks and seeds must be non-empty")
     if not all(2 <= k <= 12 for k in ks):
         raise ValueError("samples per axis must lie in [2, 12]")
+    path = cfg.make_path()   # here, so that a bad path_kind fails before any training
     # one grid per k; a grid that cannot be built fails every seed of its k
     grids = {}
     for k in ks:
@@ -188,7 +189,7 @@ def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
         if isinstance(t, Exception):
             rows.append(_failed_row(k, s, t))
         else:
-            rows.append(_finish_cell(k, s, grids[k], cfg, *t))
+            rows.append(_finish_cell(k, s, grids[k], cfg, path, *t))
             models[(k, s)], traces[(k, s)] = t
     return SweepResult(rows=rows, summary=summarize(rows),
                        models=models if keep_models else None, traces=traces)
@@ -293,30 +294,32 @@ def load_model(path) -> SavedModel:
     """Read a model written by :func:`save_model`; raises ValueError naming
     the file and the bad key when the file does not hold such a model."""
     with open(path) as fh:
+        # one handler names the file, whatever the read or parse rejects:
+        # bad UTF-8, an integer too long to convert, nesting too deep
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a JSON file ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"{path}: expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: key 'meta' must be a JSON object")
-    arrays = {}
-    for key in ("w1", "b1", "w2", "b2", "input_min", "input_max"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            arrays[key] = np.array(doc[key], dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: key {key!r} is not an array of numbers") from None
-    try:
-        params = NetworkParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
-        box = WorkspaceBox(lo=arrays["input_min"], hi=arrays["input_max"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"not a JSON file ({exc})") from None
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+            if doc.get("schema") != MODEL_SCHEMA:
+                raise ValueError(f"expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}")
+            meta = doc.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError("key 'meta' must be a JSON object")
+            arrays = {}
+            for key in ("w1", "b1", "w2", "b2", "input_min", "input_max"):
+                if key not in doc:
+                    raise ValueError(f"missing key {key!r}")
+                try:
+                    arrays[key] = np.array(doc[key], dtype=float)
+                except (TypeError, ValueError):
+                    raise ValueError(f"key {key!r} is not an array of numbers") from None
+            params = NetworkParams(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
+            box = WorkspaceBox(lo=arrays["input_min"], hi=arrays["input_max"])
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return SavedModel(params=params, box=box, meta=meta)
 
 

@@ -84,7 +84,7 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
             try:
                 yield _solve(*p, geom)
             except UnreachableTarget:
-                raise UnreachableGridPoint(idx, p) from None
+                raise UnreachableGridPoint(f"grid point {idx} at {p} mm is unreachable") from None
             except DegenerateAxis:
                 raise DegenerateAxis(f"grid point {idx} at {p} mm lies on the base axis") from None
 

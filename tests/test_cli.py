@@ -157,10 +157,15 @@ def test_sweep_k_out_of_range_exit_2(tmp_path, capsys):
                  '"w2": [[0], [0], [0]], "b2": [0, 0, 0], "input_min": [0, 0, 0], '
                  '"input_max": [1, 1, 1], "meta": {"samples_per_axis": 2}}',
                  id="scalar-w1"),
+    pytest.param('{"schema": "ik-ann-model/1", "meta": {"samples_per_axis": ' + "9" * 5001 + "}}",
+                 id="5001-digit-samples-per-axis"),
+    pytest.param('{"schema": "ik-ann-model/1", "w1": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 id="w1-nested-100000-deep"),
+    pytest.param(b'\xff{"schema": "ik-ann-model/1"}', id="not-utf-8"),
 ])
 def test_bad_model_file_exit_2(tmp_path, capsys, text):
     model = tmp_path / "bad.json"
-    model.write_text(text)
+    model.write_bytes(text if isinstance(text, bytes) else text.encode())
     for argv in (["bound", "--model", str(model)],
                  ["eval", "--model", str(model), "--emit", str(tmp_path / "t.csv")]):
         assert main(argv) == 2

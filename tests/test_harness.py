@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ikann import harness
 from ikann.bound import sample_bound
 from ikann.errors import InsufficientData
 from ikann.harness import (REPORT_COLUMNS, HarnessConfig, SweepRow,
@@ -143,6 +144,14 @@ def test_run_sweep_k_range():
     for k in (1, 13, 20):
         with pytest.raises(ValueError):
             run_sweep([3, k], [1], QUICK)
+
+
+def test_run_sweep_bad_path_kind_fails_before_training(monkeypatch):
+    def no_training(jobs):
+        raise AssertionError("trained before the path was built")
+    monkeypatch.setattr(harness, "train_lockstep", no_training)
+    with pytest.raises(ValueError, match="unknown path kind 'bogus'"):
+        run_sweep([2], [1], HarnessConfig(path_kind="bogus"))
 
 
 def test_run_sweep_failed_cell_marker():
@@ -368,10 +377,15 @@ def test_model_roundtrip_bitwise_property(tmp_path_factory, model):
     ('{"schema": "ik-ann-model/1"}', "missing key 'w1'"),
     ("[]", "expected a JSON object, got list"),
     ("not json", "not a JSON file"),
+    pytest.param('{"schema": "ik-ann-model/1", "meta": {"samples_per_axis": ' + "9" * 5001 + "}}",
+                 "Exceeds the limit", id="5001-digit-samples-per-axis"),
+    pytest.param('{"schema": "ik-ann-model/1", "w1": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "maximum recursion depth", id="w1-nested-100000-deep"),
+    pytest.param(b'\xff{"schema": "ik-ann-model/1"}', "can't decode byte 0xff", id="not-utf-8"),
 ])
 def test_model_file_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=message) as exc:
         load_model(path)
     assert str(exc.value).startswith(f"{path}: ")

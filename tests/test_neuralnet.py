@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import adam_step, init_adam_state, loss
 from ikann import _kernels, neuralnet
-from ikann.errors import InsufficientData, NonFiniteLoss, UnreachableGridPoint
+from ikann.errors import IkannError, InsufficientData, NonFiniteLoss, UnreachableGridPoint
 from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
                              backward, init_params, predict,
                              split_dataset, split_sizes, train, train_lockstep)
@@ -490,7 +491,8 @@ def test_child_death_raises_runtime_error(monkeypatch, two_cpus, mixed_jobs):
 
 
 @pytest.mark.parametrize("exc", [InsufficientData("child says no"), ValueError("child says no"),
-                                 UnreachableGridPoint(4, (140.0, 0.0, 69.0))])
+                                 UnreachableGridPoint("grid point 4 at (140.0, 0.0, 69.0) mm "
+                                                      "is unreachable")])
 def test_child_exception_reaches_caller(monkeypatch, two_cpus, mixed_jobs, exc):
     forks = recorded_forks(monkeypatch)
 
@@ -501,6 +503,22 @@ def test_child_exception_reaches_caller(monkeypatch, two_cpus, mixed_jobs, exc):
         train_lockstep(mixed_jobs)
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     assert_reaped(forks[0])
+
+
+def package_exceptions(cls=IkannError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from package_exceptions(sub)
+
+
+def test_every_package_exception_survives_the_pipe():
+    # a child's exception reaches the caller pickled, so each one, including
+    # any added later, must come back from its message with type and text
+    classes = list(package_exceptions())
+    assert UnreachableGridPoint in classes and NonFiniteLoss in classes
+    for cls in classes:
+        back = pickle.loads(pickle.dumps(cls("child says no")))
+        assert type(back) is cls and str(back) == "child says no", cls.__name__
 
 
 def test_caller_interrupt_kills_child(monkeypatch, two_cpus, mixed_jobs):
