@@ -23,8 +23,8 @@ run: a model that stops keeps its row, and nothing reads its later steps.
 
 Adam's first and second moments live in one (2, R, P) array, m in [0] and
 v in [1], so each Adam operation is one call over both. A step writes its
-gradients and temporaries in place into leading views of one set of scratch
-buffers per stack.
+gradients and temporaries in place into scratch buffers that it shares with
+the other steps of its shape.
 
 Each bias gradient comes out of the product that computes its weight
 gradient. In a row, a1 (3, hidden) lies directly above b1, so its first
@@ -77,7 +77,6 @@ was always 0 has moments of exactly 0.
 """
 
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -132,26 +131,19 @@ class _Scratch(NamedTuple):
     g2b2: np.ndarray    # g0[:, 4H:] as the (S, H + 1, 3) block of a2 and b2
 
 
-def _scratch(rows, batch, hidden, base=None):
+def _scratch(rows, batch, hidden):
     """The :class:`_Scratch` of a step of ``rows`` rows and ``batch``
-    samples: new buffers, or C-contiguous leading views of the buffers of
-    ``base``, a :class:`_Scratch` at least as large. New activations get
-    their column of ones here, and a step writes only ``h1[..., :H]``; a
-    leading view keeps the last column at the flat positions H, 2H + 1, ...,
-    so the ones stay in place for steps of every shape."""
-    hb, b3, width = (rows, batch, hidden), (rows, batch, 3), 7 * hidden + 3
-    shapes = {"pre": hb, "dh": hb, "off": hb, "out": b3, "dout": b3,
-              "a2t": (rows, 3, hidden), "g": (2, rows, width), "h1": (rows, batch, hidden + 1)}
-    views = {}
-    for name, shape in shapes.items():
-        flat = (np.empty(math.prod(shape), dtype=bool if name == "off" else float)
-                if base is None else getattr(base, name).reshape(-1))
-        views[name] = flat[:math.prod(shape)].reshape(shape)
-    h1, (g0, g1) = views["h1"], views["g"]
-    if base is None:
-        h1[..., hidden] = 1.0
-    return _Scratch(**views, h=h1[..., :hidden], h1t=h1.transpose(0, 2, 1),
-                    g0=g0, g1=g1, g1b1=g0[:, :4 * hidden].reshape(rows, 4, hidden),
+    samples, in new buffers. The activations get their column of ones here,
+    and a step writes only ``h1[..., :H]``."""
+    hb, b3 = (rows, batch, hidden), (rows, batch, 3)
+    h1 = np.empty((rows, batch, hidden + 1))
+    h1[..., hidden] = 1.0
+    g = np.empty((2, rows, 7 * hidden + 3))
+    g0, g1 = g
+    return _Scratch(pre=np.empty(hb), dh=np.empty(hb), off=np.empty(hb, dtype=bool),
+                    out=np.empty(b3), dout=np.empty(b3), a2t=np.empty((rows, 3, hidden)),
+                    g=g, h1=h1, h=h1[..., :hidden], h1t=h1.transpose(0, 2, 1), g0=g0, g1=g1,
+                    g1b1=g0[:, :4 * hidden].reshape(rows, 4, hidden),
                     g2b2=g0[:, 4 * hidden:].reshape(rows, hidden + 1, 3))
 
 
@@ -256,17 +248,15 @@ def plan(theta, mv, hidden, n_train, batch_size):
     after the full batches, each block of rows of one size takes its short
     last batch together. Returns the :class:`_Schedule` for
     :func:`epoch_step`. ``mv`` (2, R, P) holds Adam's first moments in
-    ``mv[0]`` and second moments in ``mv[1]``. Every step's temporaries are
-    views of one set of buffers for the stack (:func:`_scratch`), and steps of
-    one shape share their views; its data and bias corrections are views
-    made here, because making a view costs as much as a small ufunc call, and
-    so are the views of the epoch's loss sums (:func:`_epoch_sse`). The views
-    stay valid while theta (R, P) and mv are updated in place, so one plan
-    serves a whole run.
+    ``mv[0]`` and second moments in ``mv[1]``. The steps of one shape share
+    one set of temporaries (:func:`_scratch`); a step's data and bias
+    corrections are views made here, because making a view costs as much as
+    a small ufunc call, and so are the views of the epoch's loss sums
+    (:func:`_epoch_sse`). The views stay valid while theta (R, P) and mv are
+    updated in place, so one plan serves a whole run.
     """
     n_train = [int(n) for n in n_train]
     rows = len(n_train)
-    base = _scratch(rows, batch_size, hidden)
     x, y = np.ones((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
     batches = -(-n_train[0] // batch_size)
     bc = np.ones((batches, 2, rows, 1))
@@ -284,7 +274,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
         a1, b1, a2, b2 = unpack(th, hidden)
         shape = (hi - lo, cols.stop - cols.start)
         if shape not in scratch:
-            scratch[shape] = _scratch(*shape, hidden, base)
+            scratch[shape] = _scratch(*shape, hidden)
         r = slice(lo, hi)
         return _Step(r, cols, j, th, mv[:, r], decay[:, r], gain[:, r],
                      (a1, b1[:, None, :], a2, b2[:, None, :]), scratch[shape],

@@ -147,11 +147,12 @@ def _cmd_sweep(args, geom, box, seed):
     base = 1 if seed is None else seed
     seeds = list(range(base, base + args.repeats))
     cfg = HarnessConfig(geom=geom, box=box, path_kind=args.path)
+    if args.curves:   # before training, so that a bad directory fails first
+        curves_dir = Path(args.curves)
+        curves_dir.mkdir(parents=True, exist_ok=True)
     result = run_sweep(ks, seeds, cfg)
 
     if args.curves:
-        curves_dir = Path(args.curves)
-        curves_dir.mkdir(parents=True, exist_ok=True)
         for (k, s), trace in sorted(result.traces.items()):
             write_training_curve(trace, curves_dir / f"k{k}_seed{s}.csv")
 

@@ -52,6 +52,10 @@ class RobotGeometry:
         # written so that NaN fails too
         if not all(0.0 < v < math.inf for v in (self.l1, self.l2, self.l3)):
             raise ValueError("link lengths must be positive and finite")
+        # _solve squares l2 and l3 and divides by 2 * l2 * l3
+        l2, l3 = self.l2, self.l3
+        if not (math.isfinite(l2 * l2) and math.isfinite(l3 * l3)) or 2.0 * l2 * l3 == 0.0:
+            raise ValueError("link lengths l2 and l3 are too large or too small for float64 IK")
         if self.elbow_branch not in (ELBOW_A, ELBOW_B):
             raise ValueError(f"elbow_branch must be {ELBOW_A!r} or {ELBOW_B!r}")
 

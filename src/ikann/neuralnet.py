@@ -257,23 +257,20 @@ def _train_stack(jobs) -> list:
     """:func:`train_lockstep` of a validated job list, every model in this
     process and in one stack."""
     cfg = jobs[0][1]
-    # every distinct dataset once in x_all, y_all; the indices below are into
-    # them. x_all carries the column of ones of the kernel's inputs (_kernels.plan)
-    offsets, xs, ys = {}, [], []
-    for ds, _ in jobs:
-        if id(ds) not in offsets:
-            offsets[id(ds)] = sum(len(x) for x in xs)
-            xs.append(np.column_stack((normalize_input(ds.points, ds.box), np.ones(ds.n))))
-            ys.append(ds.angles)
-    x_all, y_all = np.concatenate(xs), np.concatenate(ys)
-
     # stack row r trains job order[r], largest training set first; every
     # per-model buffer below is indexed by row, and a row never moves
     order = sorted(range(len(jobs)), key=lambda i: -split_sizes(jobs[i][0].n, cfg)[0])
     rows = [jobs[i] for i in order]
+    # each row's dataset in x_all, y_all from index start[r]; the indices below
+    # are into them. x_all carries the column of ones of the kernel's inputs
+    # (_kernels.plan)
+    x_all = np.concatenate([np.column_stack((normalize_input(ds.points, ds.box), np.ones(ds.n)))
+                            for ds, _ in rows])
+    y_all = np.concatenate([ds.angles for ds, _ in rows])
+    start = np.cumsum([0] + [ds.n for ds, _ in rows])
     splits = [split_dataset(ds, c) for ds, c in rows]
-    train_idx = [t + offsets[id(ds)] for (t, _), (ds, _) in zip(splits, rows)]
-    val_idx = [v + offsets[id(ds)] for (_, v), (ds, _) in zip(splits, rows)]
+    train_idx = [t + s for (t, _), s in zip(splits, start)]
+    val_idx = [v + s for (_, v), s in zip(splits, start)]
     n_train = [len(t) for t in train_idx]
 
     theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for _, c in rows])

@@ -242,6 +242,31 @@ def test_non_finite_links_exit_2(tmp_path, capsys, links):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("links", ["1e200,1e200,1e200", "1e-200,1e-200,1e-200"])
+def test_links_out_of_float_range_exit_2(tmp_path, capsys, links):
+    rc = main([f"--links={links}", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: link lengths l2 and l3 are too large or too small for float64 IK\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_sweep_curves_on_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    def trained(*args):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr("ikann.cli.run_sweep", trained)
+    curves = tmp_path / "F"
+    curves.write_text("")
+    rc = main(["sweep", "--axis-counts", "2", "--repeats", "1", "--curves", str(curves),
+               "--report", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(curves) in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

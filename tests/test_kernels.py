@@ -174,21 +174,28 @@ def test_plan_of_default_sweep():
     np.testing.assert_array_equal(n3, np.array(n_train) * 3.0)
 
 
-def test_steps_share_one_set_of_scratch():
+def test_steps_of_one_shape_share_scratch_and_keep_their_ones():
     # the default sweep's child stack: the 30 rows of k = 2..7, 44 steps per
-    # epoch; every step's temporaries, the activations with their column of
-    # ones too, are views of the same per-stack buffers, and every step's
-    # activations end in ones
+    # epoch; the steps of one shape hold one _Scratch, and after an epoch
+    # every step's activations still end in their column of ones
     n_train = [n for n in (309, 194, 113, 58, 25, 6) for _ in range(5)]
-    theta = np.zeros((len(n_train), 7 * 16 + 3))
-    steps = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)[0]
+    rng = np.random.default_rng(5)
+    theta = np.stack([flat_row(s) for s in range(len(n_train))])
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    steps = schedule.steps
     assert len(steps) == 44
 
     first, last = steps[0].scratch, steps[-1].scratch
     assert first.pre.shape == (25, 8, 16) and last.pre.shape == (5, 6, 16)
     assert first.h1.shape == (25, 8, 17) and last.h1.shape == (5, 6, 17)
-    for a, b in zip(first, last, strict=True):
-        assert a.base is b.base and a.base is not None
+    by_shape = {}
+    for step in steps:
+        assert by_shape.setdefault(step.scratch.pre.shape, step.scratch) is step.scratch
+    assert len(by_shape) < len(steps)
+
+    schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
+    schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
+    _kernels.epoch_step(schedule, 0, 0.001)
     for step in steps:
         np.testing.assert_array_equal(step.scratch.h1[..., 16], 1.0)
 

@@ -172,6 +172,12 @@ def test_geometry_validation():
         for links in ((bad, 70.0, 70.0), (70.0, bad, 70.0), (70.0, 70.0, bad)):
             with pytest.raises(ValueError, match="positive and finite"):
                 RobotGeometry(*links)
+    # IK squares l2 and l3, which overflows, and divides by 2 * l2 * l3, which
+    # underflows to 0
+    for links in ((1e200, 1e200, 1e200), (70.0, 1e200, 70.0), (70.0, 70.0, 1e155),
+                  (1e-200, 1e-200, 1e-200), (70.0, 1e-200, 1e-200)):
+        with pytest.raises(ValueError, match="too large or too small"):
+            RobotGeometry(*links)
     with pytest.raises(ValueError):
         RobotGeometry(elbow_branch="C")
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import pickle
@@ -290,12 +291,15 @@ def assert_same_training(a, b):
 def test_train_many_matches_train_alone(box):
     # k = 3, seeds 1..5: seeds that stop early keep their rows to the end,
     # and the 25 training rows end every epoch on a one-row batch
+    # the five jobs share one grid, or each holds its own copy of it
     ds = generate_grid(box, 3)
     cfgs = [TrainingConfig(seed=s) for s in range(1, 6)]
-    many = train_lockstep([(ds, cfg) for cfg in cfgs])
-    assert len({t.epochs_run for _, t in many}) > 1
-    for cfg, got in zip(cfgs, many):
-        assert_same_training(got, train(ds, cfg))
+    alone = [train(ds, cfg) for cfg in cfgs]
+    for grids in ([ds] * 5, [copy.deepcopy(ds) for _ in cfgs]):
+        many = train_lockstep(list(zip(grids, cfgs)))
+        assert len({t.epochs_run for _, t in many}) > 1
+        for a, got in zip(alone, many):
+            assert_same_training(got, a)
 
 
 def test_train_many_without_early_stopping(box):
