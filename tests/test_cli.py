@@ -253,10 +253,10 @@ def test_links_out_of_float_range_exit_2(tmp_path, capsys, links):
 
 
 def test_sweep_curves_on_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
-    def trained(*args):
+    def must_not_train(*args):
         raise AssertionError("run_sweep was called")
 
-    monkeypatch.setattr("ikann.cli.run_sweep", trained)
+    monkeypatch.setattr("ikann.cli.run_sweep", must_not_train)
     curves = tmp_path / "F"
     curves.write_text("")
     rc = main(["sweep", "--axis-counts", "2", "--repeats", "1", "--curves", str(curves),
