@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
+Each subcommand has one handler ``_cmd_*(args, geom, box)``, where ``box`` is
+None unless ``--box`` was given; the handler applies its own box and seed
+defaults. Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
 (diverged training or an unreachable grid point).
 """
 
@@ -16,13 +18,13 @@ import numpy as np
 
 from .bound import WeightRangeWarning, compute_bound_report
 from .errors import IkannError, NonFiniteLoss, NotACube, UnreachableGridPoint
-from .harness import (HarnessConfig, emit_report, export_dataset,
+from .harness import (HarnessConfig, check_sweep, emit_report, export_dataset,
                       export_trajectory, load_model, run_sweep, save_model,
                       write_training_curve)
 from .kinematics import RobotGeometry
 from .neuralnet import TrainingConfig, train
 from .sampler import DEFAULT_BOX, WorkspaceBox, generate_grid
-from .trajectory import HEART, RECTANGLE, PathOutsideBoxWarning
+from .trajectory import HEART, RECTANGLE, PathOutsideBoxWarning, make_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,14 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainingConfig.max_epochs)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--out", required=True, metavar="MODEL.json")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a reference path")
     p.add_argument("--model", required=True)
     p.add_argument("--path", choices=[RECTANGLE, HEART], default=RECTANGLE)
     p.add_argument("--emit", required=True, metavar="TRAJ.csv")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("bound", help="print the bound report for a model as JSON")
     p.add_argument("--model", required=True)
+    p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("sweep", help="run the samples-per-axis sweep")
     p.add_argument("--axis-counts", default="2,3,4,5,6,7,8", metavar="K1,K2,...")
@@ -83,14 +88,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", default=None, metavar="DIR",
                    help="write per-run training curves into DIR")
     p.add_argument("--path", choices=[RECTANGLE, HEART], default=RECTANGLE)
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("dataset", help="export a k^3 training grid as CSV")
     p.add_argument("--samples-per-axis", type=int, required=True, metavar="K")
     p.add_argument("--out", required=True, metavar="GRID.csv")
+    p.set_defaults(run=_cmd_dataset)
     return parser
 
 
-def _cmd_train(args, geom, box, seed):
+def _cmd_train(args, geom, box):
+    box = box or DEFAULT_BOX
+    seed = 42 if args.seed is None else args.seed
     cfg = TrainingConfig(hidden=args.hidden, max_epochs=args.epochs, seed=seed,
                          early_stopping=not args.no_early_stop)
     ds = generate_grid(box, args.samples_per_axis, geom)
@@ -107,24 +116,21 @@ def _cmd_train(args, geom, box, seed):
           f"{' (early stop)' if trace.stopped_early else ''}; "
           f"train MSE {trace.train_loss[-1]:.3e}, val MSE {trace.val_loss[-1]:.3e} rad^2")
     print(f"model written to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_eval(args, geom, box_override):
+def _cmd_eval(args, geom, box):
     saved = load_model(args.model)
-    box = box_override if box_override is not None else saved.box
-    traj = HarnessConfig(geom=geom, box=box, path_kind=args.path).make_path()
-    report = export_trajectory(traj, saved.params, geom, box, args.emit)
+    box = box or saved.box
+    report = export_trajectory(make_path(args.path, box), saved.params, geom, box, args.emit)
     print(f"{args.path} path, {report.n_points} points: "
           f"mean {report.mean_mm:.3f} mm, std {report.std_mm:.3f} mm, "
           f"max {report.max_mm:.3f} mm")
     print(f"trajectory written to {args.emit}")
-    return EXIT_OK
 
 
-def _cmd_bound(args, box_override):
+def _cmd_bound(args, geom, box):
     saved = load_model(args.model)
-    box = box_override if box_override is not None else saved.box
+    box = box or saved.box
     k = saved.meta.get("samples_per_axis")
     if type(k) is not int or k < 2:
         raise ValueError(f"{args.model}: model metadata lacks an integer "
@@ -137,17 +143,18 @@ def _cmd_bound(args, box_override):
         raise ValueError(f"{args.model}: samples_per_axis is too large "
                          "to size the bound") from None
     print(json.dumps(report.as_dict(), indent=2))
-    return EXIT_OK
 
 
-def _cmd_sweep(args, geom, box, seed):
-    ks = sorted({int(v) for v in args.axis_counts.split(",")})   # the ks run_sweep runs
+def _cmd_sweep(args, geom, box):
+    ks = [int(v) for v in args.axis_counts.split(",")]
     if not 1 <= args.repeats <= _MAX_REPEATS:
         raise ValueError(f"--repeats must lie in [1, {_MAX_REPEATS}]")
-    base = 1 if seed is None else seed
-    seeds = list(range(base, base + args.repeats))
-    cfg = HarnessConfig(geom=geom, box=box, path_kind=args.path)
-    if args.curves:   # before training, so that a bad directory fails first
+    base = 1 if args.seed is None else args.seed
+    cfg = HarnessConfig(geom=geom, box=box or DEFAULT_BOX, path_kind=args.path)
+    ks, seeds = check_sweep(ks, range(base, base + args.repeats), cfg.training)
+    # the directory is made after the checks, so that a rejected sweep makes
+    # none, and before training, so that a bad directory fails first
+    if args.curves:
         curves_dir = Path(args.curves)
         curves_dir.mkdir(parents=True, exist_ok=True)
     result = run_sweep(ks, seeds, cfg)
@@ -169,14 +176,12 @@ def _cmd_sweep(args, geom, box, seed):
     if failed:
         print(f"{len(failed)} run(s) failed; see marker rows in the report")
     print(f"report written to {args.report}")
-    return EXIT_OK
 
 
 def _cmd_dataset(args, geom, box):
-    ds = generate_grid(box, args.samples_per_axis, geom)
+    ds = generate_grid(box or DEFAULT_BOX, args.samples_per_axis, geom)
     export_dataset(ds, args.out)
     print(f"{ds.n} grid pairs written to {args.out}")
-    return EXIT_OK
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -195,19 +200,8 @@ def main(argv=None) -> int:
         try:
             geom = _parse_links(args.links) if args.links else RobotGeometry()
             box = _parse_box(args.box) if args.box else None
-            seed = args.seed if args.seed is not None else 42
-
-            if args.command == "train":
-                return _cmd_train(args, geom, box or DEFAULT_BOX, seed)
-            if args.command == "eval":
-                return _cmd_eval(args, geom, box)
-            if args.command == "bound":
-                return _cmd_bound(args, box)
-            if args.command == "sweep":
-                return _cmd_sweep(args, geom, box or DEFAULT_BOX, args.seed)
-            if args.command == "dataset":
-                return _cmd_dataset(args, geom, box or DEFAULT_BOX)
-            raise ValueError(f"unknown command {args.command!r}")
+            args.run(args, geom, box)
+            return EXIT_OK
         except (UnreachableGridPoint, NonFiniteLoss) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

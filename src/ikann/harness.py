@@ -24,9 +24,8 @@ from .kinematics import DEFAULT_GEOMETRY, RobotGeometry
 from .neuralnet import (NetworkParams, TrainingConfig, TrainingTrace, SPLIT_ROUNDING,
                         split_sizes, train_lockstep)
 from .sampler import DEFAULT_BOX, TrainingSet, WorkspaceBox, generate_grid, spacing_mm
-from .trajectory import (HEART, RECTANGLE, EvalReport, TrajectorySpec,
-                         evaluate_tracking, make_heart_path,
-                         make_rectangle_path, tracking_details)
+from .trajectory import (RECTANGLE, EvalReport, TrajectorySpec, evaluate_tracking,
+                         make_path, tracking_details)
 
 MODEL_SCHEMA = "ik-ann-model/1"
 DATASET_HEADER = "x1_mm,x2_mm,x3_mm,q1_rad,q2_rad,q3_rad"
@@ -51,19 +50,13 @@ def _write_csv(path, header: str, rows):
 @dataclass(frozen=True)
 class HarnessConfig:
     """Everything one run needs besides (k, seed). Each cell trains with
-    ``training`` whose ``seed`` is replaced by the cell's seed."""
+    ``training`` whose ``seed`` is replaced by the cell's seed, and is tracked
+    on ``trajectory.make_path(path_kind, box)``."""
 
     geom: RobotGeometry = DEFAULT_GEOMETRY
     box: WorkspaceBox = DEFAULT_BOX
     training: TrainingConfig = TrainingConfig()
     path_kind: str = RECTANGLE
-
-    def make_path(self) -> TrajectorySpec:
-        if self.path_kind == RECTANGLE:
-            return make_rectangle_path(self.box)
-        if self.path_kind == HEART:
-            return make_heart_path()
-        raise ValueError(f"unknown path kind {self.path_kind!r}")
 
     def metadata(self) -> dict:
         training = asdict(self.training)
@@ -75,7 +68,7 @@ class HarnessConfig:
             "box_hi_mm": list(self.box.hi),
             **training,
             "path_kind": self.path_kind,
-            "path_params": self.make_path().params,
+            "path_params": make_path(self.path_kind, self.box).params,
             "split_rounding": SPLIT_ROUNDING,
             "error_spread": "std across path points per run; across-seed std in summary",
         }
@@ -158,18 +151,29 @@ def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig, path: T
     )
 
 
-def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
-              keep_models: bool = False) -> SweepResult:
-    """Run every distinct (k, seed) combination once; failed cells become
-    marker rows and the sweep continues. Rows come back sorted by (k, seed).
-    One cell is ``run_sweep([k], [seed], cfg).rows[0]``."""
+def check_sweep(ks, seeds, training: TrainingConfig = TrainingConfig()) -> tuple:
+    """The distinct ks and seeds that :func:`run_sweep` runs, each sorted.
+    Raises ValueError when either is empty, a k lies outside [2, 12] or
+    ``training`` rejects a seed."""
     ks = sorted({operator.index(k) for k in ks})
     seeds = sorted({operator.index(s) for s in seeds})
     if not ks or not seeds:
         raise ValueError("ks and seeds must be non-empty")
     if not all(2 <= k <= 12 for k in ks):
         raise ValueError("samples per axis must lie in [2, 12]")
-    path = cfg.make_path()   # here, so that a bad path_kind fails before any training
+    for s in seeds:   # TrainingConfig owns the seed rule
+        replace(training, seed=s)
+    return ks, seeds
+
+
+def run_sweep(ks, seeds, cfg: HarnessConfig = HarnessConfig(),
+              keep_models: bool = False) -> SweepResult:
+    """Run every distinct (k, seed) combination once; failed cells become
+    marker rows and the sweep continues. Rows come back sorted by (k, seed).
+    One cell is ``run_sweep([k], [seed], cfg).rows[0]``. Bad ks, seeds or
+    ``cfg.path_kind`` raise ValueError before any grid is built."""
+    ks, seeds = check_sweep(ks, seeds, cfg.training)
+    path = make_path(cfg.path_kind, cfg.box)
     # one grid per k; a grid that cannot be built fails every seed of its k
     grids = {}
     for k in ks:

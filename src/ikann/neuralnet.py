@@ -202,8 +202,10 @@ def train_lockstep(jobs) -> list:
         raise ValueError("configs trained in lockstep may differ only in seed")
 
     n_train = [split_sizes(ds.n, c)[0] for ds, c in jobs]
-    largest = [i for i, n in enumerate(n_train) if n == max(n_train)]
-    rest = [i for i in range(len(jobs)) if i not in largest]
+    top = max(n_train)
+    largest, rest = [], []
+    for i, n in enumerate(n_train):
+        (largest if n == top else rest).append(i)
     affinity = getattr(os, "sched_getaffinity", None)
     if not rest or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
         return _train_stack(jobs)
@@ -337,4 +339,4 @@ def _train_stack(jobs) -> list:
         else:
             trained.append(NonFiniteLoss(f"loss diverged at epoch {epochs} "
                                          f"(train={train_loss[-1]}, val={val_loss[-1]})"))
-    return [trained[order.index(i)] for i in range(len(jobs))]
+    return [trained[r] for r in np.argsort(order).tolist()]   # the row of each job

@@ -4,7 +4,8 @@ A model proposes joint angles for each reference point; forward kinematics
 maps them back to Cartesian space and the per-point Euclidean miss in mm is
 the tracking error. The two reference paths, a rectangle pair inset in the
 workspace box and a heart, are drawn from fixed constants, which each path
-lists in its ``params`` for the report metadata.
+lists in its ``params`` for the report metadata; :func:`make_path` builds
+either one by its kind.
 """
 
 from __future__ import annotations
@@ -102,6 +103,15 @@ def make_heart_path() -> TrajectorySpec:
     return TrajectorySpec(points=pts, params={
         "center": (cx, cy), "scale": scale, "z": z, "n_points": n_points,
     })
+
+
+def make_path(kind: str, box: WorkspaceBox) -> TrajectorySpec:
+    """The reference path of ``kind``: RECTANGLE inset in ``box``, or HEART."""
+    if kind == RECTANGLE:
+        return make_rectangle_path(box)
+    if kind == HEART:
+        return make_heart_path()
+    raise ValueError(f"unknown path kind {kind!r}")
 
 
 def exact_ik_model(geom: RobotGeometry = DEFAULT_GEOMETRY):

@@ -96,6 +96,18 @@ def test_sweep_records_the_distinct_ks_it_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_with_a_failed_cell_says_so(tmp_path, capsys):
+    # the k = 3 grid of this box has a point on the base axis; the box is
+    # written with "=" because its value starts with "-"
+    report = tmp_path / "r.csv"
+    rc = main(["--box=-40,40,-40,40,0,60", "sweep", "--axis-counts", "2,3", "--repeats", "1",
+               "--report", str(report)])
+    assert rc == 0
+    assert "\n1 run(s) failed; see marker rows in the report\n" in capsys.readouterr().out
+    assert [line.split(",")[13] for line in report.read_text().splitlines()[1:]] == [
+        "rectangle", "error:DegenerateAxis"]
+
+
 def test_sweep_rerun_bitwise_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--axis-counts", "2", "--repeats", "2", "--report"]
@@ -242,6 +254,14 @@ def test_non_finite_links_exit_2(tmp_path, capsys, links):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_links_needs_three_lengths_exit_2(tmp_path, capsys):
+    rc = main(["--links", "70,70", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --links needs 3 comma-separated lengths in mm\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("links", ["1e200,1e200,1e200", "1e-200,1e-200,1e-200"])
 def test_links_out_of_float_range_exit_2(tmp_path, capsys, links):
     rc = main([f"--links={links}", "dataset", "--samples-per-axis", "2",
@@ -276,11 +296,19 @@ def test_unknown_command_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["--seed", "-1", "train", "--samples-per-axis", "2", "--out", "m.json"],
     ["--seed", "-3", "sweep", "--axis-counts", "2", "--report", "r.csv"],
+    ["--seed", "-3", "sweep", "--axis-counts", "2", "--curves", "D", "--report", "r.csv"],
 ])
 def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_sweep_k_below_range_makes_no_curves_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--axis-counts", "1", "--curves", "D", "--report", "r.csv"]) == 2
+    assert capsys.readouterr().err == "error: samples per axis must lie in [2, 12]\n"
     assert not os.listdir(tmp_path)
 
 
