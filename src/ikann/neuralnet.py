@@ -339,4 +339,6 @@ def _train_stack(jobs) -> list:
         else:
             trained.append(NonFiniteLoss(f"loss diverged at epoch {epochs} "
                                          f"(train={train_loss[-1]}, val={val_loss[-1]})"))
-    return [trained[r] for r in np.argsort(order).tolist()]   # the row of each job
+    # the row of each job; a Python sort, since numpy's first argsort in a
+    # process maps 384 KB of its sort code into memory
+    return [trained[r] for r in sorted(range(len(jobs)), key=order.__getitem__)]
