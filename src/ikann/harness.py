@@ -151,7 +151,7 @@ def _finish_cell(k: int, seed: int, ds: TrainingSet, cfg: HarnessConfig, path: T
     )
 
 
-def check_sweep(ks, seeds, training: TrainingConfig = TrainingConfig()) -> tuple:
+def check_sweep(ks, seeds, training: TrainingConfig) -> tuple:
     """The distinct ks and seeds that :func:`run_sweep` runs, each sorted.
     Raises ValueError when either is empty, a k lies outside [2, 12] or
     ``training`` rejects a seed."""
