@@ -44,11 +44,24 @@ epoch uses up the targets, which the caller gathers again for every epoch
 anyway. Each row's loss is the sum ((0 + s_0) + s_1) + ... over its batches
 in order, each s_j numpy's pairwise sum of that batch's squared errors, the
 bits of a sum kept step by step (:func:`_epoch_sse` says which reductions
-keep that order). Every ufunc of a step takes its output as a positional
+keep that order).
+
+A step's cost is mostly call overhead, so :func:`plan` builds, once per
+stack, everything the step loop hands to a ufunc, and the loop does no more
+than call. The schedule holds two flat tuples per step, the arguments of
+:func:`_backprop` and those of the Adam update, so a step is one star-call
+and one unpack. No ufunc of a step takes a Python scalar: converting one
+costs more than reading an array of the operand's full shape, so each
+constant is such an array, holding the same value, and each ufunc does the
+same IEEE operation on the same values. ADAM_EPS and the learning rate are
+(S, P) row views of one (R, P) array each, and :func:`epoch_step` writes its
+learning rate into its array once per call; the error scale 2 / (3B) (S, B,
+3) and the ReLU's 0.0 (S, B, H) live in the scratch of their step shape.
+Only the (2, S, 1) bias corrections and the biases of the forward pass
+still broadcast. Every ufunc of a step takes its output as a positional
 argument and is bound once at import: an ``out=`` keyword and a numpy
-attribute lookup each cost time in a step whose cost is mostly call
-overhead. ``np.maximum`` keeps its ``out=``, because a third positional
-argument to it is deprecated.
+attribute lookup each cost time. ``maximum`` keeps its ``out=``, because a
+third positional argument to it is deprecated.
 
 Each product is one ``np.matmul`` over the rows of a step; elementwise
 operations and per-model sums never mix models. Row r of a stacked step is
@@ -80,7 +93,8 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
-from numpy import add, divide, greater, logical_not, matmul, multiply, putmask, sqrt, subtract
+from numpy import (add, copyto, divide, greater, logical_not, matmul, maximum, multiply, putmask,
+                   sqrt, subtract)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -111,8 +125,9 @@ def mse(a1, b1, a2, b2, x, y):
 
 
 class _Scratch(NamedTuple):
-    """Temporaries of one step of S rows and a batch of B samples, and views
-    of them made once: a view costs as much as a small ufunc call."""
+    """Temporaries of one step of S rows and a batch of B samples, views of
+    them made once (a view costs as much as a small ufunc call), and the
+    step's constants at full shape."""
 
     pre: np.ndarray     # (S, B, H) hidden pre-activations
     dh: np.ndarray      # (S, B, H) hidden gradient
@@ -129,6 +144,8 @@ class _Scratch(NamedTuple):
     g1: np.ndarray
     g1b1: np.ndarray    # g0[:, :4H] as the (S, 4, H) block of a1 and b1
     g2b2: np.ndarray    # g0[:, 4H:] as the (S, H + 1, 3) block of a2 and b2
+    scale: np.ndarray   # (S, B, 3) the error scale 2 / (3B)
+    zero: np.ndarray    # (S, B, H) the ReLU's 0.0
 
 
 def _scratch(rows, batch, hidden):
@@ -144,28 +161,41 @@ def _scratch(rows, batch, hidden):
                     out=np.empty(b3), dout=np.empty(b3), a2t=np.empty((rows, 3, hidden)),
                     g=g, h1=h1, h=h1[..., :hidden], h1t=h1.transpose(0, 2, 1), g0=g0, g1=g1,
                     g1b1=g0[:, :4 * hidden].reshape(rows, 4, hidden),
-                    g2b2=g0[:, 4 * hidden:].reshape(rows, hidden + 1, 3))
+                    g2b2=g0[:, 4 * hidden:].reshape(rows, hidden + 1, 3),
+                    scale=np.full(b3, 2.0 / (batch * 3.0)), zero=np.zeros(hb))
 
 
-def _backprop(a1, b1, a2, b2, x, x1t, y, s):
+def _backprop_args(a1, b1, a2, b2, x1, y, s):
+    """The flat arguments of :func:`_backprop` for a stack's parameters
+    (a1, b1, a2, b2) as :func:`unpack` gives them, a batch of inputs x1
+    (S, B, 4) with their column of ones and targets y (S, B, 3), and a
+    :class:`_Scratch` s."""
+    return (a1, b1[:, None, :], a2, a2.transpose(0, 2, 1), b2[:, None, :], x1[..., :3],
+            x1.transpose(0, 2, 1), y, s.pre, s.dh, s.off, s.out, s.dout, s.a2t, s.h, s.h1t,
+            s.g1b1, s.g2b2, s.scale, s.zero)
+
+
+def _backprop(a1, b1, a2, a2_view, b2, x, x1t, y, pre, dh, off, out, dout, a2t, h, h1t, g1b1,
+              g2b2, scale, zero):
     """Exact MSE gradients of a stack for one batch x (S, B, 3), written into
-    ``s.g0`` (a :class:`_Scratch`); the output errors are written over the
-    targets y (S, B, 3). b1 and b2 are (S, 1, H) and (S, 1, 3) views; x1t
-    (S, 4, B) is x with a column of ones, transposed. The ReLU subgradient at
-    0 is 0."""
-    pre, dh, off, out, dout, a2t, _, _, h, h1t, _, _, g1b1, g2b2 = s
+    g1b1 and g2b2, the blocks of a :class:`_Scratch`'s g0; the output errors
+    are written over the targets y (S, B, 3). The arguments come from
+    :func:`_backprop_args`: b1 and b2 are (S, 1, H) and (S, 1, 3) views,
+    a2_view is a2 transposed, x1t (S, 4, B) is x with its column of ones,
+    transposed, and the rest are the scratch's fields of those names. The
+    ReLU subgradient at 0 is 0."""
     matmul(x, a1, pre)
     add(pre, b1, pre)
-    np.maximum(pre, 0.0, out=h)   # out=: a third positional argument is deprecated here
+    maximum(pre, zero, out=h)   # out=: a third positional argument is deprecated here
     matmul(h, a2, out)
     add(out, b2, out)
     subtract(out, y, y)
-    multiply(y, 2.0 / (x.shape[1] * 3.0), dout)
+    multiply(y, scale, dout)
     matmul(h1t, dout, g2b2)
-    np.copyto(a2t, a2.transpose(0, 2, 1))
+    copyto(a2t, a2_view)
     matmul(dout, a2t, dh)
     # zero dh where pre > 0 is False, so a NaN pre zeroes it too
-    logical_not(greater(pre, 0.0, off), off)
+    logical_not(greater(pre, zero, off), off)
     putmask(dh, off, 0.0)
     matmul(x1t, dh, g1b1)
 
@@ -182,7 +212,7 @@ def gradients(a1, b1, a2, b2, x, y):
     x1[..., :3] = x
     err = np.array(y, dtype=float)
     s = _scratch(rows, batch, a1.shape[-1])
-    _backprop(a1, b1[:, None, :], a2, b2[:, None, :], x1[..., :3], x1.transpose(0, 2, 1), err, s)
+    _backprop(*_backprop_args(a1, b1, a2, b2, x1, err, s))
     return err, s.g0
 
 
@@ -197,24 +227,14 @@ def runs(values):
 
 class _Step(NamedTuple):
     """One stacked step of an epoch: its rows, the columns of their shuffled
-    data it reads, its batch index j in each row's epoch, views of the rows'
-    parameters, moments (2, S, P) with their factors (beta1, beta2) and
-    (1 - beta1, 1 - beta2), broadcast parameters (a1, b1[:, None], a2,
-    b2[:, None]), its :class:`_Scratch`, and views of the schedule's
-    buffers: its batch (x, x with its column of ones transposed, y) and its
-    bias corrections (2, S, 1)."""
+    data it reads, its batch index j in each row's epoch, and its
+    :class:`_Scratch`. :func:`epoch_step` runs it from its pair in the
+    schedule's ``loop``."""
 
     rows: slice
     cols: slice
     j: int
-    theta: np.ndarray
-    mv: np.ndarray
-    decay: np.ndarray
-    gain: np.ndarray
-    params: tuple
     scratch: _Scratch
-    batch: tuple
-    bc: np.ndarray
 
 
 class _Schedule(NamedTuple):
@@ -223,10 +243,16 @@ class _Schedule(NamedTuple):
     per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
     the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
     whose last column is ones, and targets y (R, n, 3), and the bias
-    corrections (batches, 2, R, 1) of :func:`_bias_corrections`; and the
-    loss sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0])
-    of each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is
-    the sum of squared errors."""
+    corrections (batches, 2, R, 1) of :func:`_bias_corrections`; the loss
+    sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0]) of
+    each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is the
+    sum of squared errors; the ``loop`` of :func:`epoch_step`, each step's
+    pair of flat tuples in order: the arguments of :func:`_backprop`
+    (:func:`_backprop_args`) and those of the Adam update, (g, g0, g1) of the
+    step's scratch, then the rows' views of the factors (1 - beta1,
+    1 - beta2), the moments (2, S, P), the factors (beta1, beta2), the bias
+    corrections (2, S, 1), ADAM_EPS, the learning rate and the parameters
+    (S, P); and the learning rate (R, P) that the Adam updates read."""
 
     steps: list
     sse: np.ndarray
@@ -238,6 +264,8 @@ class _Schedule(NamedTuple):
     bc: np.ndarray
     parts: list
     sums: np.ndarray
+    loop: list
+    lr: np.ndarray
 
 
 def plan(theta, mv, hidden, n_train, batch_size):
@@ -249,9 +277,10 @@ def plan(theta, mv, hidden, n_train, batch_size):
     last batch together. Returns the :class:`_Schedule` for
     :func:`epoch_step`. ``mv`` (2, R, P) holds Adam's first moments in
     ``mv[0]`` and second moments in ``mv[1]``. The steps of one shape share
-    one set of temporaries (:func:`_scratch`); a step's data and bias
-    corrections are views made here, because making a view costs as much as
-    a small ufunc call, and so are the views of the epoch's loss sums
+    one set of temporaries and constants (:func:`_scratch`); every operand of
+    a step, its data, bias corrections and constants included, is an array
+    or a view made here, because making a view costs as much as a small
+    ufunc call, and so are the views of the epoch's loss sums
     (:func:`_epoch_sse`). The views stay valid while theta (R, P) and mv are
     updated in place, so one plan serves a whole run.
     """
@@ -263,39 +292,40 @@ def plan(theta, mv, hidden, n_train, batch_size):
     # a last column of zeros that no batch writes, so that the running sum
     # ends in each row's total (total + 0 is the total: it is not -0)
     sums = np.zeros((2, rows, batches + 1))
-    # the Adam factors at full shape: a (2, 1, 1) broadcast costs twice the time
+    # the Adam factors and constants at full shape: a (2, 1, 1) broadcast
+    # costs twice the time, and a Python float more than an array
     decay = np.empty_like(mv)
     decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
     gain = 1.0 - decay
+    eps, lr = np.full(theta.shape, ADAM_EPS), np.empty(theta.shape)
     scratch = {}
 
     def step(lo, hi, cols, j):
-        th = theta[lo:hi]
-        a1, b1, a2, b2 = unpack(th, hidden)
+        r = slice(lo, hi)
         shape = (hi - lo, cols.stop - cols.start)
         if shape not in scratch:
             scratch[shape] = _scratch(*shape, hidden)
-        r = slice(lo, hi)
-        return _Step(r, cols, j, th, mv[:, r], decay[:, r], gain[:, r],
-                     (a1, b1[:, None, :], a2, b2[:, None, :]), scratch[shape],
-                     (x[r, cols, :3], x[r, cols].transpose(0, 2, 1), y[r, cols]),
-                     bc[j, :, r])
+        s = scratch[shape]
+        steps.append(_Step(r, cols, j, s))
+        loop.append((_backprop_args(*unpack(theta[r], hidden), x[r, cols], y[r, cols], s),
+                     (s.g, s.g0, s.g1, gain[:, r], mv[:, r], decay[:, r], bc[j, :, r], eps[r],
+                      lr[r], theta[r])))
 
-    steps, parts = [], []
+    steps, loop, parts = [], [], []
     for j in range(n_train[0] // batch_size):
         a = sum(n // batch_size > j for n in n_train)
-        steps.append(step(0, a, slice(j * batch_size, (j + 1) * batch_size), j))
+        step(0, a, slice(j * batch_size, (j + 1) * batch_size), j)
     for lo, hi, n in runs(n_train):
         full = n // batch_size
         if full:
             parts.append((y[lo:hi, :full * batch_size].reshape(hi - lo, full, batch_size, 3),
                           (2, 3), sums[0, lo:hi, :full]))
         if n > full * batch_size:
-            steps.append(step(lo, hi, slice(full * batch_size, n), full))
+            step(lo, hi, slice(full * batch_size, n), full)
             parts.append((y[lo:hi, full * batch_size:n], (1, 2), sums[0, lo:hi, full]))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
     return _Schedule(steps, sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc,
-                     parts, sums)
+                     parts, sums, loop, lr)
 
 
 def _bias_corrections(epoch, per_epoch, bc):
@@ -343,24 +373,26 @@ def epoch_step(schedule, epoch, lr):
     ``schedule.y``: each step writes its output errors over its targets, and
     the loss is summed from them once at the end (:func:`_epoch_sse`), so
     the caller writes the targets again before every epoch. Returns each
-    row's mean squared pre-update batch error (R,). Outputs are positional
-    (see the module docstring).
+    row's mean squared pre-update batch error (R,). ``lr`` is written into
+    the schedule's learning-rate array, which every step reads; outputs are
+    positional (see the module docstring).
     """
-    steps, sse, per_epoch, n3, mv, _, y, bcs, parts, sums = schedule
+    _, sse, per_epoch, n3, mv, _, y, bcs, parts, sums, loop, lrs = schedule
     _bias_corrections(epoch, per_epoch, bcs)
-    for _, _, _, theta, m_v, decay, gain, params, s, batch, bc in steps:
-        _backprop(*params, *batch, s)
-        g, g0, g1 = s.g, s.g0, s.g1
+    lrs.fill(lr)
+    for backprop, adam in loop:
+        _backprop(*backprop)
+        g, g0, g1, gain, m_v, decay, bc, eps, rate, theta = adam
         multiply(g0, g0, g1)
         multiply(g, gain, g)
         multiply(m_v, decay, m_v)
         add(m_v, g, m_v)
         divide(m_v, bc, g)
         sqrt(g1, g1)
-        add(g1, ADAM_EPS, g1)
-        multiply(g0, lr, g0)
+        add(g1, eps, g1)
+        multiply(g0, rate, g0)
         divide(g0, g1, g0)
         subtract(theta, g0, theta)
-    np.copyto(mv, 0.0, where=np.abs(mv) < _TINY)
+    copyto(mv, 0.0, where=np.abs(mv) < _TINY)
     _epoch_sse(y, parts, sums)
     return sse / n3

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Each subcommand has one handler ``_cmd_*(args, geom, box)``, where ``box`` is
-None unless ``--box`` was given; the handler applies its own box and seed
-defaults. Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
+None unless ``--box`` was given; the handler checks its output paths
+before any work and applies its own box and seed defaults. Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
 (diverged training or an unreachable grid point).
 """
 
@@ -47,6 +47,17 @@ def _parse_links(text: str) -> RobotGeometry:
     if len(vals) != 3:
         raise ValueError("--links needs 3 comma-separated lengths in mm")
     return RobotGeometry(l1=vals[0], l2=vals[1], l3=vals[2])
+
+
+def _check_output(path: str) -> None:
+    """Reject an output path before any work is done, so that a bad path
+    costs no training: its directory must exist, and it must not be a
+    directory itself. Nothing is created or truncated."""
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"{path}: the output path is a directory")
+    if not p.parent.is_dir():
+        raise ValueError(f"{path}: {p.parent} is not an existing directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args, geom, box):
+    _check_output(args.out)
     box = box or DEFAULT_BOX
     seed = 42 if args.seed is None else args.seed
     cfg = TrainingConfig(hidden=args.hidden, max_epochs=args.epochs, seed=seed,
@@ -119,6 +131,7 @@ def _cmd_train(args, geom, box):
 
 
 def _cmd_eval(args, geom, box):
+    _check_output(args.emit)
     saved = load_model(args.model)
     box = box or saved.box
     report = export_trajectory(make_path(args.path, box), saved.params, geom, box, args.emit)
@@ -146,6 +159,9 @@ def _cmd_bound(args, geom, box):
 
 
 def _cmd_sweep(args, geom, box):
+    for path in (args.report, args.json):
+        if path is not None:
+            _check_output(path)
     ks = [int(v) for v in args.axis_counts.split(",")]
     if not 1 <= args.repeats <= _MAX_REPEATS:
         raise ValueError(f"--repeats must lie in [1, {_MAX_REPEATS}]")
@@ -179,6 +195,7 @@ def _cmd_sweep(args, geom, box):
 
 
 def _cmd_dataset(args, geom, box):
+    _check_output(args.out)
     ds = generate_grid(box or DEFAULT_BOX, args.samples_per_axis, geom)
     export_dataset(ds, args.out)
     print(f"{ds.n} grid pairs written to {args.out}")

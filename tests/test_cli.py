@@ -366,3 +366,29 @@ def test_sweep_repeats_out_of_range_exit_2(tmp_path, capsys, repeats):
     err = capsys.readouterr().err
     assert err == "error: --repeats must lie in [1, 1000]\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["missing parent", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--samples-per-axis", "2", "--out", "BAD"],
+    ["sweep", "--axis-counts", "2", "--repeats", "1", "--report", "BAD"],
+    ["sweep", "--axis-counts", "2", "--repeats", "1", "--report", "ok.csv", "--json", "BAD"],
+    ["dataset", "--samples-per-axis", "2", "--out", "BAD"],
+    ["eval", "--model", "m.json", "--emit", "BAD"],
+])
+def test_bad_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, bad):
+    # every output path is checked before training, labelling or reading a
+    # model, so a rejected command costs no work and writes no file, not
+    # even a report whose sibling output is the bad one
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("train", "run_sweep", "generate_grid", "load_model", "export_trajectory"):
+        monkeypatch.setattr(f"ikann.cli.{name}", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    path = str(tmp_path / "missing" / "r.csv") if bad == "missing parent" else "d"
+    assert main([path if a == "BAD" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert os.listdir(tmp_path) == ["d"] and not os.listdir(tmp_path / "d")

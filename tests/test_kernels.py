@@ -2,6 +2,7 @@
 alone."""
 
 import numpy as np
+import pytest
 
 from conftest import adam_step, init_adam_state
 from ikann import _kernels
@@ -102,26 +103,27 @@ def test_mixed_size_stack_matches_single_models():
     assert_rows_match_reference(seeds, n_train, 10, x, y)
 
 
-def assert_epochs_match_reference(seeds, n_train, epochs, rng):
+def assert_epochs_match_reference(seeds, n_train, epochs, rng, lrs=None):
     """Train a stack ``epochs`` epochs on fresh data each epoch, as
     ``_train_stack`` does, and assert that every row's loss and parameters
     are bitwise those of the reference epochs of the model alone. The padding
     past each row's own set is NaN, so a step or a loss sum that read it
-    would show."""
+    would show. ``lrs`` gives each epoch's learning rate, 0.001 unless
+    given."""
     rows, longest = len(seeds), n_train[0]
     theta = np.stack([flat_row(s) for s in seeds])
     schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
     refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
     moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
-    for epoch in range(epochs):
+    for epoch, lr in enumerate(lrs or [0.001] * epochs):
         x = rng.uniform(0, 1, (rows, longest, 3))
         y = rng.normal(0, 1, (rows, longest, 3))
         for row, n in enumerate(n_train):
             x[row, n:] = y[row, n:] = np.nan
         schedule.x[..., :3], schedule.y[:] = x, y   # plan starts the last column at 1
-        losses = _kernels.epoch_step(schedule, epoch, 0.001)
+        losses = _kernels.epoch_step(schedule, epoch, lr)
         for row, n in enumerate(n_train):
-            refs[row], _, loss = reference_epoch(refs[row], x[row, :n], y[row, :n], 8, 0.001,
+            refs[row], _, loss = reference_epoch(refs[row], x[row, :n], y[row, :n], 8, lr,
                                                  0.9, 0.999, 1e-8, epoch * -(-n // 8),
                                                  moments[row])
             assert losses[row] == loss, (epoch, row)
@@ -151,6 +153,63 @@ def test_epoch_loss_is_the_sum_of_the_step_losses():
     rng = np.random.default_rng(10)
     assert_epochs_match_reference((11, 12, 13, 14, 15, 16), [309, 309, 25, 25, 6, 6], 3, rng)
     assert_epochs_match_reference((17,), [309], 3, rng)
+
+
+def test_one_plan_takes_each_calls_learning_rate():
+    # epoch_step writes its lr into the plan's learning-rate array on every
+    # call, so epochs at other rates from one plan are bitwise the reference
+    # epochs at those rates
+    assert_epochs_match_reference((11, 12, 13), [25, 25, 12], 3, np.random.default_rng(11),
+                                  lrs=(0.004, 0.02, 0.001))
+
+
+class Recorder:
+    """A ufunc that records each call's arguments and passes it on; its
+    methods, such as ``reduce``, are the ufunc's own."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((self.ufunc, args, kwargs))
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+
+@pytest.mark.parametrize("n_train", [
+    [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)],   # the default sweep
+    [460],
+])
+def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
+    # every operand of an elementwise ufunc in an epoch is an array of its
+    # output's shape, a constant included, except the three broadcasts left:
+    # the biases b1 (S, 1, H) and b2 (S, 1, 3), and the bias corrections
+    # (2, S, 1); no operand is a Python scalar
+    calls = []
+    for name in ("add", "divide", "greater", "logical_not", "maximum", "multiply", "sqrt",
+                 "subtract"):
+        monkeypatch.setattr(_kernels, name, Recorder(getattr(np, name), calls))
+    rng = np.random.default_rng(12)
+    theta = np.stack([flat_row(s) for s in range(len(n_train))])
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
+    schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
+    _kernels.epoch_step(schedule, 0, 0.001)
+
+    # 7 elementwise calls in _backprop and 10 in the Adam update per step,
+    # and _epoch_sse's square
+    assert len(calls) == 17 * len(schedule.steps) + 1
+    for ufunc, args, kwargs in calls:
+        *operands, out = args[:ufunc.nin] + (args[ufunc.nin:] or (kwargs["out"],))
+        assert all(type(a) is np.ndarray for a in operands + [out]), ufunc.__name__
+        for a in operands:
+            if a.shape != out.shape:
+                if ufunc is np.add:
+                    assert out.ndim == 3 and a.shape == (out.shape[0], 1, out.shape[2])
+                else:
+                    assert ufunc is np.divide and a.shape == (2, out.shape[1], 1)
 
 
 def test_plan_of_default_sweep():
