@@ -65,3 +65,14 @@ def test_compare_alternates_and_keeps_one_traced_run_per_side(bench_pairs, monke
         "seed": 104,
         "parent": {"correct": True, "metrics": {"sampler.generate_grid.s": 0.01235}},
         "change": {"correct": True, "metrics": {"sampler.generate_grid.s": 0.01}}}
+
+
+def test_add_set_keeps_every_set(bench_pairs):
+    # a workload's sets go to its block, then repeat, repeat_2, ...: a third
+    # set of pairs does not overwrite the second
+    workloads = {}
+    for i in range(4):
+        bench_pairs.add_set(workloads, "cli-single", {"seeds": i})
+    block = workloads["cli-single"]
+    assert block["seeds"] == 0
+    assert [block[k]["seeds"] for k in ("repeat", "repeat_2", "repeat_3")] == [1, 2, 3]

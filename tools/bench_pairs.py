@@ -20,7 +20,8 @@ in percent. After the pairs, each side makes one ``--trace 1`` run with seed
 metrics, so that it shows in which layer a difference appears.
 
 ``--out`` is read first if it exists: workloads are added to it, and a
-workload it already holds gets the new pairs as its ``repeat``. Give
+workload it already holds gets the new pairs as its ``repeat``, or, when it
+has one, as ``repeat_2``, ``repeat_3`` and so on, so no set is lost. Give
 ``--workload`` several times to run several workloads in one call.
 """
 
@@ -107,6 +108,16 @@ def compare(trees, workload, pairs, seed0, seconds):
     return env, block
 
 
+def add_set(workloads, workload, block):
+    """Put one set of pairs into a record's ``workloads``: a workload's first
+    set is its block, and later sets are its ``repeat``, ``repeat_2``, ..."""
+    if workload not in workloads:
+        workloads[workload] = block
+        return
+    n = 1 + sum(key.startswith("repeat") for key in workloads[workload])
+    workloads[workload]["repeat" if n == 1 else f"repeat_{n}"] = block
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -145,10 +156,7 @@ def main():
         record["command"] = "python3 perfbench/run.py --workload W --seed N --seconds " \
                             f"{args.seconds} --trace 0"
         record["method"] = METHOD
-        if workload in workloads:
-            workloads[workload]["repeat"] = block
-        else:
-            workloads[workload] = block
+        add_set(workloads, workload, block)
         with open(args.out, "w") as fh:   # after every workload, so a cut run keeps what it has
             json.dump({key: record[key] for key in ORDER}, fh, indent=1)
             fh.write("\n")
