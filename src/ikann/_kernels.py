@@ -114,8 +114,13 @@ def unpack(theta, hidden):
 
 def forward(a1, b1, a2, b2, x):
     """Network output for normalized inputs x (..., B, 3) -> (..., B, 3)."""
-    h = np.maximum(x @ a1 + b1[..., None, :], 0.0)
-    return h @ a2 + b2[..., None, :]
+    # the bias adds and the ReLU write into the products' own arrays
+    h = x @ a1
+    h += b1[..., None, :]
+    np.maximum(h, 0.0, out=h)
+    out = h @ a2
+    out += b2[..., None, :]
+    return out
 
 
 def mse(a1, b1, a2, b2, x, y):

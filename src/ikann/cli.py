@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -52,10 +53,13 @@ def _parse_links(text: str) -> RobotGeometry:
 def _check_output(path: str) -> None:
     """Reject an output path before any work is done, so that a bad path
     costs no training: its directory must exist, and it must not be a
-    directory itself. Nothing is created or truncated."""
+    directory itself or end in a separator. Nothing is created or truncated."""
     p = Path(path)
     if p.is_dir():
         raise ValueError(f"{path}: the output path is a directory")
+    # Path drops a trailing separator, which names a directory to open()
+    if path[-1:] in (os.sep, os.altsep):
+        raise ValueError(f"{path}: the output path ends in a separator")
     if not p.parent.is_dir():
         raise ValueError(f"{path}: {p.parent} is not an existing directory")
 

@@ -13,16 +13,24 @@ the tip position is
 The closed-form inverse has two elbow solutions; branch "A" (the default)
 takes q3 <= 0, branch "B" the mirror.
 
-``_solve`` is the one reach rule of the package: ``inverse_kinematics``,
-the training grid (``sampler.generate_grid``) and the exact-IK model
-(``trajectory.exact_ik_model``) all label points through it, one point of
-Python floats at a time. It stays scalar ``math`` on purpose: ``np.arctan2``
-and ``np.hypot`` differ from ``math.atan2`` and ``math.hypot`` in the last
-bit for some inputs, so a vectorised solve would change the labels.
+``_solve`` is the one reach rule and the one closed-form inverse of the
+package. ``inverse_kinematics`` calls it on one point of Python floats, and
+``_solve_rows`` on the float64 columns of a point set; the training grid
+(``sampler.generate_grid``) and the exact-IK model
+(``trajectory.exact_ik_model``) label through the columns form. Both forms
+give each point the same bits. In the columns form, addition, subtraction,
+multiplication, division, the square root and the clamp of D are numpy array
+operations, because IEEE 754 rounds each of them exactly, as it rounds Python
+floats. ``hypot``, ``atan2``, ``sin`` and ``cos`` are not correctly rounded,
+and numpy's ``hypot`` and ``arctan2`` differ from libm's in the last bit for
+some inputs; numpy has no IEEE ``remainder``. So these five are libm's
+``math`` functions, mapped over the columns' Python floats, which keeps the
+per-point loop in C.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,23 +98,77 @@ def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     and DegenerateAxis on the base axis (x1 = x2 = 0), where the yaw is
     undefined.
     """
-    return np.array(_solve(float(x[0]), float(x[1]), float(x[2]), geom))
+    x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+    return np.array(_solve(x1, x2, x3, geom, _POINT))
 
 
-def _solve(x1: float, x2: float, x3: float, geom: RobotGeometry) -> tuple:
-    """``inverse_kinematics`` of one point given as Python floats, as a tuple."""
-    r = math.hypot(x1, x2)
-    if r < _AXIS_TOL:
-        raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
+def _solve(x1, x2, x3, geom: RobotGeometry, form) -> tuple:
+    """The closed-form inverse as a tuple (q1, q2, q3), of one point of
+    Python floats (``form`` is ``_POINT``) or of float64 columns (``_ROWS``)."""
+    hypot, atan2, sin, cos, sqrt, wrap = form
+    r = hypot(x1, x2)
     s = x3 - geom.l1
     l2, l3 = geom.l2, geom.l3
     d = (r * r + s * s - l2 ** 2 - l3 ** 2) / (2.0 * l2 * l3)
-    # written so that NaN fails too
-    if not abs(d) <= 1.0 + _REACH_TOL:
+    if form is _ROWS:
+        d = _reach_rows(x1, x2, x3, r, d, geom)
+    # the reach rule of one point, inline because a call costs it 0.1 us: the
+    # base axis fails first, then |D| beyond 1 by more than rounding noise
+    elif r < _AXIS_TOL:
+        raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
+    elif not abs(d) <= 1.0 + _REACH_TOL:   # written so that NaN fails too
         raise UnreachableTarget(f"({x1}, {x2}, {x3}) is outside the workspace (D={d:.6g})")
-    d = 1.0 if d > 1.0 else -1.0 if d < -1.0 else d   # min/max calls cost 0.3 us more
-    root = math.sqrt(1.0 - d * d)
-    q3 = math.atan2(-root if geom.elbow_branch == ELBOW_A else root, d)
-    q1 = math.atan2(x2, x1)
-    q2 = math.atan2(s, r) - math.atan2(l3 * math.sin(q3), l2 + l3 * math.cos(q3))
-    return q1, wrap_angle(q2), q3
+    else:
+        d = 1.0 if d > 1.0 else -1.0 if d < -1.0 else d   # min/max calls cost 0.3 us more
+    root = sqrt(1.0 - d * d)
+    q3 = atan2(-root if geom.elbow_branch == ELBOW_A else root, d)
+    q1 = atan2(x2, x1)
+    q2 = atan2(s, r) - atan2(l3 * sin(q3), l2 + l3 * cos(q3))
+    return q1, wrap(q2), q3
+
+
+# The functions _solve calls, (hypot, atan2, sin, cos, sqrt, wrap_angle), as a
+# plain tuple: its unpacking is cheaper than attribute calls on an object.
+_POINT = (math.hypot, math.atan2, math.sin, math.cos, math.sqrt, wrap_angle)
+
+
+def _mapped(f):
+    """libm's ``f`` over float64 columns, one C-level ``map`` of it."""
+    def over_rows(*cols):
+        return np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
+    return over_rows
+
+
+def _reach_rows(x1, x2, x3, r, d, geom):
+    """``_solve``'s reach rule over columns, then D clamped to [-1, 1]. A set
+    with a bad row raises the error of its first bad row alone, with that
+    row's index as ``row``."""
+    bad = (r < _AXIS_TOL) | ~(np.abs(d) <= 1.0 + _REACH_TOL)
+    if bad.any():
+        row = int(bad.argmax())
+        try:
+            _solve(x1[row].item(), x2[row].item(), x3[row].item(), geom, _POINT)
+        except (DegenerateAxis, UnreachableTarget) as exc:
+            exc.row = row
+            raise
+    return np.clip(d, -1.0, 1.0)
+
+
+def _wrap_rows(a):
+    """``wrap_angle`` of each entry of a float64 column."""
+    a = np.fromiter(map(math.remainder, a.tolist(), itertools.repeat(2.0 * math.pi)),
+                    float, len(a))
+    a[a <= -math.pi] += 2.0 * math.pi
+    return a
+
+
+_ROWS = (*map(_mapped, (math.hypot, math.atan2, math.sin, math.cos)), np.sqrt, _wrap_rows)
+
+
+def _solve_rows(points: np.ndarray, geom: RobotGeometry) -> np.ndarray:
+    """``inverse_kinematics`` of each row of an (N, 3) float64 array, bit for
+    bit, as an (N, 3) array. If a row fails, it raises that row's own error,
+    for the first such row, with the row's index as the error's ``row``."""
+    # Python floats overflow to inf silently; the columns must not warn either
+    with np.errstate(all="ignore"):
+        return np.column_stack(_solve(*points.T, geom, _ROWS))

@@ -1,22 +1,25 @@
 """Evenly spaced Cartesian training grids with inverse-kinematics labels.
 
 A grid point is in reach exactly when ``inverse_kinematics`` labels it: the
-grid feeds each point, as Python floats, to the same scalar core
-(``kinematics._solve``) and applies no reach test of its own. The loop stays
-scalar ``math``, since a vectorised numpy solve differs in the last bits of
-some labels. Inputs are normalized to [0, 1] per axis using the box bounds
-(not the data); joint-angle outputs stay in raw radians.
+grid is labelled by the columns form of the same closed-form inverse
+(``kinematics._solve_rows``), which gives each point the bits
+``inverse_kinematics`` gives it, and applies no reach test of its own. Its
+exactly rounded operations (+ - * /, the square root and the clamp) are
+numpy array operations; its ``hypot``, ``atan2``, ``sin``, ``cos`` and
+``remainder`` are libm's, mapped over the points, since numpy's versions
+differ in the last bit of some labels. Inputs are normalized to [0, 1] per
+axis using the box bounds (not the data); joint-angle outputs stay in raw
+radians.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAxis, NotACube, UnreachableGridPoint, UnreachableTarget
-from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve, forward_kinematics_batch
+from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve_rows, forward_kinematics_batch
 
 # FK(IK(X)) must reproduce every grid point to this accuracy, else the
 # labelling is considered broken.
@@ -78,17 +81,13 @@ def generate_grid(box: WorkspaceBox, k: int, geom: RobotGeometry = DEFAULT_GEOME
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    def labels():
-        # the rows of ``points``, in order, as tuples of Python floats
-        for idx, p in enumerate(itertools.product(*(a.tolist() for a in axes))):
-            try:
-                yield _solve(*p, geom)
-            except UnreachableTarget:
-                raise UnreachableGridPoint(f"grid point {idx} at {p} mm is unreachable") from None
-            except DegenerateAxis:
-                raise DegenerateAxis(f"grid point {idx} at {p} mm lies on the base axis") from None
-
-    angles = np.fromiter(labels(), dtype=(float, 3), count=len(points))
+    try:
+        angles = _solve_rows(points, geom)
+    except (UnreachableTarget, DegenerateAxis) as exc:
+        at = f"grid point {exc.row} at {tuple(points[exc.row].tolist())} mm"
+        if isinstance(exc, DegenerateAxis):
+            raise DegenerateAxis(f"{at} lies on the base axis") from None
+        raise UnreachableGridPoint(f"{at} is unreachable") from None
     residual = np.linalg.norm(forward_kinematics_batch(angles, geom) - points, axis=1)
     worst = float(residual.max())
     if worst >= _LABEL_TOL_MM:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import warn_caller
-from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve, forward_kinematics_batch
+from .kinematics import DEFAULT_GEOMETRY, RobotGeometry, _solve_rows, forward_kinematics_batch
 from .neuralnet import NetworkParams, predict
 from .sampler import DEFAULT_BOX, WorkspaceBox, normalize_input
 
@@ -115,12 +115,12 @@ def make_path(kind: str, box: WorkspaceBox) -> TrajectorySpec:
 
 
 def exact_ik_model(geom: RobotGeometry = DEFAULT_GEOMETRY):
-    """Oracle predictor: analytic IK applied point by point (mm in, rad out)."""
+    """Oracle predictor: analytic IK of a point set (mm in, rad out), with
+    the bits ``inverse_kinematics`` gives each point; a set with a bad point
+    raises that point's own error, for the first one."""
 
     def solve(points_mm: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points_mm, dtype=float)).tolist()
-        return np.fromiter((_solve(x1, x2, x3, geom) for x1, x2, x3 in pts),
-                           dtype=(float, 3), count=len(pts))
+        return _solve_rows(np.atleast_2d(np.asarray(points_mm, dtype=float)), geom)
 
     return solve
 

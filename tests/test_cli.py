@@ -217,6 +217,14 @@ def test_runtime_failure_exit_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == \
         "error: grid point 4 at (140.0, 0.0, 69.0) mm is unreachable\n"
+    # the squares overflow to inf: an unreachable point, with no warning,
+    # which the suite's warning filter would turn into an error
+    rc = main(["--box", "1e200,2e200,0,1,0,1", "dataset", "--samples-per-axis", "2",
+               "--out", str(tmp_path / "h.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "error: grid point 0 at (1e+200, 0.0, 0.0) mm is unreachable\n"
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_grid_point_on_base_axis_exit_2(tmp_path, capsys):
@@ -368,7 +376,7 @@ def test_sweep_repeats_out_of_range_exit_2(tmp_path, capsys, repeats):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("bad", ["missing parent", "directory"])
+@pytest.mark.parametrize("bad", ["missing parent", "directory", "trailing slash"])
 @pytest.mark.parametrize("argv", [
     ["train", "--samples-per-axis", "2", "--out", "BAD"],
     ["sweep", "--axis-counts", "2", "--repeats", "1", "--report", "BAD"],
@@ -387,7 +395,8 @@ def test_bad_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, ar
         monkeypatch.setattr(f"ikann.cli.{name}", must_not_run)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
-    path = str(tmp_path / "missing" / "r.csv") if bad == "missing parent" else "d"
+    path = {"missing parent": str(tmp_path / "missing" / "r.csv"), "directory": "d",
+            "trailing slash": "newname/"}[bad]
     assert main([path if a == "BAD" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err

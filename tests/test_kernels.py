@@ -365,3 +365,21 @@ def test_relu_mask_zeroes_where_pre_activation_is_not_positive():
     assert not fires[7] and fires.sum() > 8
     assert np.all(gb1[0, ~fires] == 0.0) and np.all(ga1[0][:, ~fires] == 0.0)
     assert np.all(np.isnan(gb1[0, fires]))
+
+
+def reference_forward(a1, b1, a2, b2, x):
+    """The forward pass as one expression with a new array per operation:
+    the reference for the kernel's in-place bias adds and ReLU."""
+    return np.maximum(x @ a1 + b1[..., None, :], 0.0) @ a2 + b2[..., None, :]
+
+
+def test_forward_is_the_reference_expression_bitwise():
+    rng = np.random.default_rng(8)
+    theta = np.stack([flat_row(s) for s in range(5)])
+    theta[4, 3] = np.nan   # a diverged row
+    stacked = _kernels.unpack(theta, 16)
+    one = _kernels.unpack(theta[0], 16)
+    for params, x in ((stacked, rng.uniform(-1, 2, (5, 40, 3))),
+                      (one, rng.uniform(-1, 2, (2000, 3)))):
+        got = _kernels.forward(*params, x)
+        assert got.tobytes() == reference_forward(*params, x).tobytes()

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ikann.errors import DegenerateAxis, UnreachableTarget
-from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry,
+from ikann.kinematics import (ELBOW_A, ELBOW_B, RobotGeometry, _solve_rows,
                               forward_kinematics_batch, inverse_kinematics,
                               wrap_angle)
 
@@ -198,3 +198,68 @@ def test_fk_ik_roundtrip_property(links, branch, q):
     x = fk(q, geom)
     assume(math.hypot(x[0], x[1]) >= 1e-6)
     assert np.linalg.norm(fk(inverse_kinematics(x, geom), geom) - x) < 1e-9
+
+
+@pytest.mark.parametrize("x", [
+    [50.3, 40.1, 20.7], (50.3, 40.1, 20.7), np.array([50.3, 40.1, 20.7]),
+    np.array([50.3, 40.1, 20.7], dtype=np.float32), np.array([50, 40, 20]),
+])
+def test_inverse_kinematics_of_each_row_type_is_the_closed_form(x, geom):
+    want = np.array(closed_form_ik(float(x[0]), float(x[1]), float(x[2]), geom))
+    assert inverse_kinematics(x, geom).tobytes() == want.tobytes()
+
+
+def test_int_row_error_prints_floats(geom):
+    with pytest.raises(DegenerateAxis) as exc:
+        inverse_kinematics(np.array([0, 0, 10]), geom)
+    assert str(exc.value) == "(0.0, 0.0, 10.0) lies on the base axis"
+
+
+def planted(rng, geom, kind):
+    """A point of ``kind`` that one-point IK rejects, or barely accepts."""
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    shoulder = np.array([0.0, 0.0, geom.l1])
+    if kind == "base axis":
+        return np.array([0.0, 0.0, rng.uniform(-100.0, 200.0)])
+    if kind == "beyond the outer sphere":
+        return shoulder + u * (geom.l2 + geom.l3) * (1.0 + 1e-9)
+    if kind == "inside the inner sphere":
+        return shoulder + u * abs(geom.l2 - geom.l3) * (1.0 - 1e-9)
+    if kind == "on the outer sphere":
+        return shoulder + u * (geom.l2 + geom.l3)
+    bad = rng.choice([math.nan, math.inf, -math.inf])
+    return np.where(np.arange(3) == rng.integers(3), bad, rng.uniform(10.0, 50.0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(links=st.tuples(*[st.floats(10.0, 150.0)] * 3),
+       branch=st.sampled_from([ELBOW_A, ELBOW_B]),
+       n=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1),
+       plants=st.lists(st.sampled_from(["base axis", "beyond the outer sphere",
+                                        "inside the inner sphere", "on the outer sphere",
+                                        "non-finite"]), max_size=3))
+def test_columns_form_is_one_point_ik_of_each_row(links, branch, n, seed, plants):
+    # reachable points are FK of random joints, so that most sets label whole
+    geom = RobotGeometry(*links, elbow_branch=branch)
+    rng = np.random.default_rng(seed)
+    pts = forward_kinematics_batch(rng.uniform(-PI, PI, (n, 3)), geom)
+    for kind in plants:
+        pts[rng.integers(n)] = planted(rng, geom, kind)
+    first_error = None
+    for i, p in enumerate(pts):
+        try:
+            inverse_kinematics(p, geom)
+        except (DegenerateAxis, UnreachableTarget) as exc:
+            first_error = i, exc
+            break
+    if first_error is None:
+        want = np.array([inverse_kinematics(p, geom) for p in pts])
+        assert _solve_rows(pts, geom).tobytes() == want.tobytes()
+        return
+    row, ref = first_error
+    with pytest.raises(type(ref)) as exc:
+        _solve_rows(pts, geom)
+    assert str(exc.value) == str(ref)
+    assert exc.value.row == row
