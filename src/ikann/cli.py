@@ -52,14 +52,16 @@ def _parse_links(text: str) -> RobotGeometry:
 
 def _check_output(path: str) -> None:
     """Reject an output path before any work is done, so that a bad path
-    costs no training: its directory must exist, and it must not be a
-    directory itself or end in a separator. Nothing is created or truncated."""
+    costs no training: its directory must exist, and it must name a file,
+    not a directory or a path ending in a separator or "/.". Nothing is
+    created or truncated."""
     p = Path(path)
     if p.is_dir():
         raise ValueError(f"{path}: the output path is a directory")
-    # Path drops a trailing separator, which names a directory to open()
-    if path[-1:] in (os.sep, os.altsep):
-        raise ValueError(f"{path}: the output path ends in a separator")
+    # Path drops a trailing separator or "/.", after which open() takes the
+    # path for a directory
+    if os.path.basename(path) in ("", "."):
+        raise ValueError(f"{path}: the output path names a directory, not a file")
     if not p.parent.is_dir():
         raise ValueError(f"{path}: {p.parent} is not an existing directory")
 

@@ -43,8 +43,9 @@ ELBOW_B = "B"
 
 # |D| may exceed 1 by rounding noise at full extension; beyond this it is a
 # genuinely unreachable target.
-_REACH_TOL = 1e-12
+_D_MAX = 1.0 + 1e-12
 _AXIS_TOL = 1e-9
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ DEFAULT_GEOMETRY = RobotGeometry()
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
-    a = math.remainder(a, 2.0 * math.pi)
+    a = math.remainder(a, _TWO_PI)
     if a <= -math.pi:
-        a += 2.0 * math.pi
+        a += _TWO_PI
     return a
 
 
@@ -98,8 +99,7 @@ def inverse_kinematics(x, geom: RobotGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     and DegenerateAxis on the base axis (x1 = x2 = 0), where the yaw is
     undefined.
     """
-    x1, x2, x3 = np.asarray(x, dtype=float).tolist()
-    return np.array(_solve(x1, x2, x3, geom, _POINT))
+    return np.array(_solve(float(x[0]), float(x[1]), float(x[2]), geom, _POINT))
 
 
 def _solve(x1, x2, x3, geom: RobotGeometry, form) -> tuple:
@@ -116,7 +116,7 @@ def _solve(x1, x2, x3, geom: RobotGeometry, form) -> tuple:
     # base axis fails first, then |D| beyond 1 by more than rounding noise
     elif r < _AXIS_TOL:
         raise DegenerateAxis(f"({x1}, {x2}, {x3}) lies on the base axis")
-    elif not abs(d) <= 1.0 + _REACH_TOL:   # written so that NaN fails too
+    elif not -_D_MAX <= d <= _D_MAX:   # written so that NaN fails too
         raise UnreachableTarget(f"({x1}, {x2}, {x3}) is outside the workspace (D={d:.6g})")
     else:
         d = 1.0 if d > 1.0 else -1.0 if d < -1.0 else d   # min/max calls cost 0.3 us more
@@ -143,7 +143,7 @@ def _reach_rows(x1, x2, x3, r, d, geom):
     """``_solve``'s reach rule over columns, then D clamped to [-1, 1]. A set
     with a bad row raises the error of its first bad row alone, with that
     row's index as ``row``."""
-    bad = (r < _AXIS_TOL) | ~(np.abs(d) <= 1.0 + _REACH_TOL)
+    bad = (r < _AXIS_TOL) | ~(np.abs(d) <= _D_MAX)
     if bad.any():
         row = int(bad.argmax())
         try:
@@ -156,9 +156,8 @@ def _reach_rows(x1, x2, x3, r, d, geom):
 
 def _wrap_rows(a):
     """``wrap_angle`` of each entry of a float64 column."""
-    a = np.fromiter(map(math.remainder, a.tolist(), itertools.repeat(2.0 * math.pi)),
-                    float, len(a))
-    a[a <= -math.pi] += 2.0 * math.pi
+    a = np.fromiter(map(math.remainder, a.tolist(), itertools.repeat(_TWO_PI)), float, len(a))
+    a[a <= -math.pi] += _TWO_PI
     return a
 
 

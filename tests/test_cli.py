@@ -376,7 +376,7 @@ def test_sweep_repeats_out_of_range_exit_2(tmp_path, capsys, repeats):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("bad", ["missing parent", "directory", "trailing slash"])
+@pytest.mark.parametrize("bad", ["missing parent", "directory", "trailing slash", "trailing dot"])
 @pytest.mark.parametrize("argv", [
     ["train", "--samples-per-axis", "2", "--out", "BAD"],
     ["sweep", "--axis-counts", "2", "--repeats", "1", "--report", "BAD"],
@@ -396,7 +396,7 @@ def test_bad_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, ar
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     path = {"missing parent": str(tmp_path / "missing" / "r.csv"), "directory": "d",
-            "trailing slash": "newname/"}[bad]
+            "trailing slash": "newname/", "trailing dot": "newname/."}[bad]
     assert main([path if a == "BAD" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
