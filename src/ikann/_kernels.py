@@ -114,7 +114,6 @@ def unpack(theta, hidden):
 
 def forward(a1, b1, a2, b2, x):
     """Network output for normalized inputs x (..., B, 3) -> (..., B, 3)."""
-    # the bias adds and the ReLU write into the products' own arrays
     h = x @ a1
     h += b1[..., None, :]
     np.maximum(h, 0.0, out=h)
