@@ -34,9 +34,17 @@ fourth column of ones, and the hidden activations a last column of ones; the
 product of a transposed operand with its row of ones is the sum over the
 batch. So one product (x, 1)^T dh writes the (4, hidden) block, and one
 product (h, 1)^T dout the (hidden + 1, 3) block, with no reduction and no
-transposed copy. The forward pass reads the first three input columns and
-the first ``hidden`` activation columns, and adds its biases separately:
-folding them into its products would move bits.
+transposed copy. The forward pass reads the first ``hidden`` activation
+columns and adds b2 separately. Where its first product is matrix-matrix
+(batch and hidden both at least 2), it reads all four input columns and the
+(4, hidden) block, so b1 rides the column of ones: in random trials with
+numpy 2.4's OpenBLAS (S from 1 to 30, batch from 2 to 2000, hidden from 2 to
+64; 13 million entries) that product equalled ``x @ a1 + b1`` bit for bit in
+every entry. With one sample or one unit numpy takes its matrix-vector path,
+which sums in another order (at batch 1 and hidden 16, 16 of a trial's 80
+entries moved), so such a step reads three columns and adds b1 after the
+product. Folding b2 into the second product the same way moved about a
+third of the outputs at batch 8 and hidden 16, so b2 is always added apart.
 
 A step writes its output errors over its view of the epoch's targets, and
 the training loss is summed from them once per epoch, not per step: the
@@ -57,8 +65,8 @@ same IEEE operation on the same values. ADAM_EPS and the learning rate are
 (S, P) row views of one (R, P) array each, and :func:`epoch_step` writes its
 learning rate into its array once per call; the error scale 2 / (3B) (S, B,
 3) and the ReLU's 0.0 (S, B, H) live in the scratch of their step shape.
-Only the (2, S, 1) bias corrections and the biases of the forward pass
-still broadcast. Every ufunc of a step takes its output as a positional
+Only the (2, S, 1) bias corrections, b2 and the b1 of a one-unit step still
+broadcast. Every ufunc of a step takes its output as a positional
 argument and is bound once at import: an ``out=`` keyword and a numpy
 attribute lookup each cost time. ``maximum`` keeps its ``out=``, because a
 third positional argument to it is deprecated.
@@ -68,8 +76,8 @@ operations and per-model sums never mix models. Row r of a stacked step is
 therefore bitwise the step model r would take alone. In random trials with
 numpy 2.4's OpenBLAS, the rows of ones gave bitwise the gradients of separate
 batch reductions and ones-free products for every batch of at most 15
-samples with at least 2 hidden units. A batch of 16 or more rounds the
-weight gradients of the (hidden + 1)-row product differently, and with one
+samples with at least 2 hidden units. A batch of 16 or more rounds some
+weight gradients differently, and with one
 hidden unit the products are matrix-vector products that sum in another
 order; there the gradients move in the last bits, and a stacked row still
 equals the same model alone.
@@ -100,6 +108,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _TINY = np.finfo(float).tiny   # the smallest normal float64
+# the shuffles and bias corrections of a chunk of epochs are made at once,
+# for at most this many epochs in at most this many bytes per stack (plan)
+_CHUNK_EPOCHS = 16
+_CHUNK_BYTES = 1 << 20
 
 
 def unpack(theta, hidden):
@@ -169,27 +181,38 @@ def _scratch(rows, batch, hidden):
                     scale=np.full(b3, 2.0 / (batch * 3.0)), zero=np.zeros(hb))
 
 
-def _backprop_args(a1, b1, a2, b2, x1, y, s):
-    """The flat arguments of :func:`_backprop` for a stack's parameters
-    (a1, b1, a2, b2) as :func:`unpack` gives them, a batch of inputs x1
-    (S, B, 4) with their column of ones and targets y (S, B, 3), and a
-    :class:`_Scratch` s."""
-    return (a1, b1[:, None, :], a2, a2.transpose(0, 2, 1), b2[:, None, :], x1[..., :3],
-            x1.transpose(0, 2, 1), y, s.pre, s.dh, s.off, s.out, s.dout, s.a2t, s.h, s.h1t,
-            s.g1b1, s.g2b2, s.scale, s.zero)
+def _backprop_args(w1, a2, b2, x1, y, s):
+    """The flat arguments of :func:`_backprop` for a stack's parameters: w1
+    (S, 4, H), each row's block of a1 over b1, and a2 and b2 as
+    :func:`unpack` gives them; a batch of inputs x1 (S, B, 4) with their
+    column of ones, targets y (S, B, 3), and a :class:`_Scratch` s. The
+    shape of s chooses the first product: with B and H both at least 2 it
+    reads x1 and w1 whole and passes b1 as None, so b1 rides the column of
+    ones; otherwise it reads x1[..., :3] and a1, and b1 is added apart (see
+    the module docstring)."""
+    _, batch, hidden = s.pre.shape
+    if batch > 1 and hidden > 1:
+        x, a1, b1 = x1, w1, None
+    else:
+        x, a1, b1 = x1[..., :3], w1[:, :3], w1[:, 3:]
+    return (a1, b1, a2, a2.transpose(0, 2, 1), b2[:, None, :], x, x1.transpose(0, 2, 1), y,
+            s.pre, s.dh, s.off, s.out, s.dout, s.a2t, s.h, s.h1t, s.g1b1, s.g2b2, s.scale,
+            s.zero)
 
 
 def _backprop(a1, b1, a2, a2_view, b2, x, x1t, y, pre, dh, off, out, dout, a2t, h, h1t, g1b1,
               g2b2, scale, zero):
-    """Exact MSE gradients of a stack for one batch x (S, B, 3), written into
-    g1b1 and g2b2, the blocks of a :class:`_Scratch`'s g0; the output errors
-    are written over the targets y (S, B, 3). The arguments come from
-    :func:`_backprop_args`: b1 and b2 are (S, 1, H) and (S, 1, 3) views,
-    a2_view is a2 transposed, x1t (S, 4, B) is x with its column of ones,
-    transposed, and the rest are the scratch's fields of those names. The
-    ReLU subgradient at 0 is 0."""
+    """Exact MSE gradients of a stack for one batch, written into g1b1 and
+    g2b2, the blocks of a :class:`_Scratch`'s g0; the output errors are
+    written over the targets y (S, B, 3). The arguments come from
+    :func:`_backprop_args`: x (S, B, 4) and a1 (S, 4, H) with b1 None, or
+    x (S, B, 3), a1 (S, 3, H) and b1 an (S, 1, H) view; b2 is an (S, 1, 3)
+    view, a2_view is a2 transposed, x1t (S, 4, B) is the batch with its
+    column of ones, transposed, and the rest are the scratch's fields of
+    those names. The ReLU subgradient at 0 is 0."""
     matmul(x, a1, pre)
-    add(pre, b1, pre)
+    if b1 is not None:   # a matrix-vector first product
+        add(pre, b1, pre)
     maximum(pre, zero, out=h)   # out=: a third positional argument is deprecated here
     matmul(h, a2, out)
     add(out, b2, out)
@@ -216,7 +239,7 @@ def gradients(a1, b1, a2, b2, x, y):
     x1[..., :3] = x
     err = np.array(y, dtype=float)
     s = _scratch(rows, batch, a1.shape[-1])
-    _backprop(*_backprop_args(a1, b1, a2, b2, x1, err, s))
+    _backprop(*_backprop_args(np.concatenate((a1, b1[:, None]), axis=1), a2, b2, x1, err, s))
     return err, s.g0
 
 
@@ -247,7 +270,7 @@ class _Schedule(NamedTuple):
     per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
     the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
     whose last column is ones, and targets y (R, n, 3), and the bias
-    corrections (batches, 2, R, 1) of :func:`_bias_corrections`; the loss
+    corrections (batches, 2, R, 1); the loss
     sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0]) of
     each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is the
     sum of squared errors; the ``loop`` of :func:`epoch_step`, each step's
@@ -256,7 +279,11 @@ class _Schedule(NamedTuple):
     step's scratch, then the rows' views of the factors (1 - beta1,
     1 - beta2), the moments (2, S, P), the factors (beta1, beta2), the bias
     corrections (2, S, 1), ADAM_EPS, the learning rate and the parameters
-    (S, P); and the learning rate (R, P) that the Adam updates read."""
+    (S, P); the learning rate (R, P) that the Adam updates read; the number
+    of epochs in a chunk, for which the bias corrections are computed, and
+    the caller's shuffles drawn, at once; the bias corrections of a chunk's
+    epochs (chunk, batches, 2, R, 1) from :func:`_bias_corrections`, and in
+    a one-item list the first of those epochs."""
 
     steps: list
     sse: np.ndarray
@@ -270,6 +297,9 @@ class _Schedule(NamedTuple):
     sums: np.ndarray
     loop: list
     lr: np.ndarray
+    chunk: int
+    bc_chunk: np.ndarray
+    bc_from: list
 
 
 def plan(theta, mv, hidden, n_train, batch_size):
@@ -287,12 +317,19 @@ def plan(theta, mv, hidden, n_train, batch_size):
     ufunc call, and so are the views of the epoch's loss sums
     (:func:`_epoch_sse`). The views stay valid while theta (R, P) and mv are
     updated in place, so one plan serves a whole run.
+
+    A chunk holds at most _CHUNK_EPOCHS epochs, as many as fit in
+    _CHUNK_BYTES with the caller's (chunk, R, n) shuffled orders, and at
+    least one. A chunk of one epoch computes its bias corrections straight
+    into the array the steps read, so it needs no memory of its own.
     """
     n_train = [int(n) for n in n_train]
     rows = len(n_train)
     x, y = np.ones((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
     batches = -(-n_train[0] // batch_size)
     bc = np.ones((batches, 2, rows, 1))
+    chunk = max(1, min(_CHUNK_EPOCHS, _CHUNK_BYTES // (8 * rows * (n_train[0] + 2 * batches))))
+    bc_chunk = bc[None] if chunk == 1 else np.ones((chunk,) + bc.shape)
     # a last column of zeros that no batch writes, so that the running sum
     # ends in each row's total (total + 0 is the total: it is not -0)
     sums = np.zeros((2, rows, batches + 1))
@@ -311,7 +348,9 @@ def plan(theta, mv, hidden, n_train, batch_size):
             scratch[shape] = _scratch(*shape, hidden)
         s = scratch[shape]
         steps.append(_Step(r, cols, j, s))
-        loop.append((_backprop_args(*unpack(theta[r], hidden), x[r, cols], y[r, cols], s),
+        _, _, a2, b2 = unpack(theta[r], hidden)
+        w1 = theta[r, :4 * hidden].reshape(hi - lo, 4, hidden)
+        loop.append((_backprop_args(w1, a2, b2, x[r, cols], y[r, cols], s),
                      (s.g, s.g0, s.g1, gain[:, r], mv[:, r], decay[:, r], bc[j, :, r], eps[r],
                       lr[r], theta[r])))
 
@@ -329,19 +368,22 @@ def plan(theta, mv, hidden, n_train, batch_size):
             parts.append((y[lo:hi, full * batch_size:n], (1, 2), sums[0, lo:hi, full]))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
     return _Schedule(steps, sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc,
-                     parts, sums, loop, lr)
+                     parts, sums, loop, lr, chunk, bc_chunk, [-chunk])
 
 
-def _bias_corrections(epoch, per_epoch, bc):
-    """Write into ``bc`` (batches, 2, rows, 1) 1 - beta**t for beta =
-    ADAM_BETA1 and ADAM_BETA2 and the Adam step t of each row's batch j in
-    this epoch; rows lo:hi of ``per_epoch`` take q steps per epoch, so they
-    have taken epoch * q. The values are Python floats, the bits a model
-    alone would use."""
+def _bias_corrections(first, per_epoch, bc_chunk):
+    """Write into ``bc_chunk`` (chunk, batches, 2, rows, 1) 1 - beta**t for
+    beta = ADAM_BETA1 and ADAM_BETA2 and the Adam step t of each row's batch
+    j in each epoch of the chunk that starts at epoch ``first``; rows lo:hi
+    of ``per_epoch`` take q steps per epoch, so they have taken epoch * q
+    before an epoch. The values are Python floats, the bits a model alone
+    would use (numpy's ``power`` rounds some of them differently)."""
+    chunk = len(bc_chunk)
     for lo, hi, q in per_epoch:
+        steps = range(first * q + 1, (first + chunk) * q + 1)
         for i, beta in enumerate((ADAM_BETA1, ADAM_BETA2)):
-            bc[:q, i, lo:hi, 0] = np.array(
-                [1.0 - beta ** t for t in range(epoch * q + 1, epoch * q + q + 1)])[:, None]
+            bc_chunk[:, :q, i, lo:hi, 0] = np.array(
+                [1.0 - beta ** t for t in steps]).reshape(chunk, q, 1)
 
 
 def _epoch_sse(y, parts, sums):
@@ -379,10 +421,17 @@ def epoch_step(schedule, epoch, lr):
     the caller writes the targets again before every epoch. Returns each
     row's mean squared pre-update batch error (R,). ``lr`` is written into
     the schedule's learning-rate array, which every step reads; outputs are
-    positional (see the module docstring).
+    positional (see the module docstring). The bias corrections are
+    computed for a chunk of epochs from the first epoch outside the last
+    chunk computed, and each epoch copies its own with one call.
     """
-    _, sse, per_epoch, n3, mv, _, y, bcs, parts, sums, loop, lrs = schedule
-    _bias_corrections(epoch, per_epoch, bcs)
+    _, sse, per_epoch, n3, mv, _, y, bc, parts, sums, loop, lrs, chunk, bc_chunk, bc_from \
+        = schedule
+    first = bc_from[0]
+    if not first <= epoch < first + chunk:
+        bc_from[0] = first = epoch
+        _bias_corrections(epoch, per_epoch, bc_chunk)
+    copyto(bc, bc_chunk[epoch - first])   # in a one-epoch chunk, onto itself
     lrs.fill(lr)
     for backprop, adam in loop:
         _backprop(*backprop)

@@ -296,17 +296,26 @@ def _train_stack(jobs) -> list:
     stopped = np.zeros(len(rows), dtype=bool)
     running = np.ones(len(rows), dtype=bool)
     losses = np.empty((min(cfg.max_epochs, 1024), 2, len(rows)))
-    orders = np.zeros((len(rows), n_train[0]), dtype=np.intp)
+    # each row's shuffled training indices for a chunk of epochs, drawn in
+    # one call per row: permuted along axis 1 of a (chunk, n) tile of the
+    # indices takes the same draws from the generator as one permutation per
+    # epoch. A row that stops mid-chunk has drawn its whole chunk, and
+    # nothing reads the steps it takes after it stops
+    chunk = schedule.chunk
+    orders = np.zeros((chunk, len(rows), n_train[0]), dtype=np.intp)
+    tiles = [np.broadcast_to(t, (chunk, len(t))) for t in train_idx]
     for epoch in range(cfg.max_epochs):
         if epoch == len(losses):   # grown on demand: a run may stop long before max_epochs
             losses = np.concatenate((losses, np.empty_like(losses)))
-        for r in np.flatnonzero(running).tolist():   # a stopped row repeats its last order
-            orders[r, :n_train[r]] = rngs[r].permutation(train_idx[r])
+        if epoch % chunk == 0:   # a stopped row repeats its last chunk
+            for r in np.flatnonzero(running).tolist():
+                rngs[r].permuted(tiles[r], axis=1, out=orders[:, r, :n_train[r]])
+        shuffled = orders[epoch % chunk]
         loss = losses[epoch]
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            np.take(x_all, orders, axis=0, out=schedule.x)
-            np.take(y_all, orders, axis=0, out=schedule.y)
+            np.take(x_all, shuffled, axis=0, out=schedule.x)
+            np.take(y_all, shuffled, axis=0, out=schedule.y)
             loss[0] = _kernels.epoch_step(schedule, epoch, cfg.learning_rate)
             loss[1] = loss[0]
             for sl, params, x_val, y_val in blocks:

@@ -76,3 +76,16 @@ def test_add_set_keeps_every_set(bench_pairs):
     block = workloads["cli-single"]
     assert block["seeds"] == 0
     assert [block[k]["seeds"] for k in ("repeat", "repeat_2", "repeat_3")] == [1, 2, 3]
+
+
+def test_environment_keeps_the_bytecode_setting(bench_pairs, monkeypatch):
+    # the clones have no bytecode caches, so whether the runs may write them
+    # moves set-up and per-process times; the record keeps the setting
+    env = {"python": "3.11", "numpy": "2.4", "blas": "openblas", "cpu_count": 2,
+           "cpu_affinity": 2, "extra": "dropped"}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.environment(env) == {
+        "python": "3.11", "numpy": "2.4", "blas": "openblas", "cpu_count": 2,
+        "cpu_affinity": 2, "PYTHONDONTWRITEBYTECODE": "1"}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.environment(env)["PYTHONDONTWRITEBYTECODE"] is None

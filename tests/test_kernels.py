@@ -3,6 +3,8 @@ alone."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import adam_step, init_adam_state
 from ikann import _kernels
@@ -26,6 +28,20 @@ def test_unpack_gives_views():
     np.testing.assert_array_equal(a1[1], init_params(16, 2).w1.T + 1.0)
 
 
+def reference_step(params, xb, yb):
+    """One model's output errors and gradients (a1, b1, a2, b2) for one
+    batch, as plain 2-D np.dot products: b1 is added after the first product,
+    and the bias gradients are batch sums."""
+    a1, b1, a2, b2 = params
+    pre = np.dot(xb, a1) + b1
+    h = np.maximum(pre, 0.0)
+    err = np.dot(h, a2) + b2 - yb
+    dout = err * (2.0 / (len(xb) * 3.0))
+    dh = np.where(pre > 0.0, np.dot(dout, np.ascontiguousarray(a2.T)), 0.0)
+    return err, (np.dot(np.ascontiguousarray(xb.T), dh), dh.sum(axis=0),
+                 np.dot(np.ascontiguousarray(h.T), dout), dout.sum(axis=0))
+
+
 def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step, moments=None):
     """One model's epoch as a plain loop of 2-D np.dot products; returns the
     new (a1, b1, a2, b2), the step count and the epoch loss. ``moments``, an
@@ -36,16 +52,9 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step, momen
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     sse = 0.0
     for start in range(0, len(x), batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        a1, b1, a2, b2 = params
-        pre = np.dot(xb, a1) + b1
-        h = np.maximum(pre, 0.0)
-        err = np.dot(h, a2) + b2 - yb
+        err, grads = reference_step(params, x[start:start + batch_size],
+                                    y[start:start + batch_size])
         sse += np.sum(err * err)
-        dout = err * (2.0 / (len(xb) * 3.0))
-        dh = np.where(pre > 0.0, np.dot(dout, np.ascontiguousarray(a2.T)), 0.0)
-        grads = (np.dot(np.ascontiguousarray(xb.T), dh), dh.sum(axis=0),
-                 np.dot(np.ascontiguousarray(h.T), dout), dout.sum(axis=0))
         step += 1
         for p, (m, v), g in zip(params, moments, grads):
             m[:] = beta1 * m + (1.0 - beta1) * g
@@ -178,15 +187,17 @@ class Recorder:
         return getattr(self.ufunc, name)
 
 
-@pytest.mark.parametrize("n_train", [
-    [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)],   # the default sweep
-    [460],
+@pytest.mark.parametrize("n_train, one_sample_steps", [
+    # the default sweep: k = 5 (113) and k = 3 (25) end each epoch on one sample
+    ([n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)], 2),
+    ([460], 0),
 ])
-def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
+def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train, one_sample_steps):
     # every operand of an elementwise ufunc in an epoch is an array of its
-    # output's shape, a constant included, except the three broadcasts left:
-    # the biases b1 (S, 1, H) and b2 (S, 1, 3), and the bias corrections
-    # (2, S, 1); no operand is a Python scalar
+    # output's shape, a constant included, except the two broadcasts left:
+    # b2 (S, 1, 3) and the bias corrections (2, S, 1); no operand is a
+    # Python scalar. b1 rides the inputs' column of ones in every step of
+    # more than one sample, and only a 1-sample step adds it, at its own shape
     calls = []
     for name in ("add", "divide", "greater", "logical_not", "maximum", "multiply", "sqrt",
                  "subtract"):
@@ -198,18 +209,91 @@ def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
     schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
     _kernels.epoch_step(schedule, 0, 0.001)
 
-    # 7 elementwise calls in _backprop and 10 in the Adam update per step,
-    # and _epoch_sse's square
-    assert len(calls) == 17 * len(schedule.steps) + 1
+    # 6 elementwise calls in _backprop and 10 in the Adam update per step,
+    # the b1 add of each 1-sample step, and _epoch_sse's square
+    assert sum(step.cols.stop - step.cols.start == 1 for step in schedule.steps) \
+        == one_sample_steps
+    assert len(calls) == 16 * len(schedule.steps) + one_sample_steps + 1
+    b1_adds = 0
     for ufunc, args, kwargs in calls:
         *operands, out = args[:ufunc.nin] + (args[ufunc.nin:] or (kwargs["out"],))
         assert all(type(a) is np.ndarray for a in operands + [out]), ufunc.__name__
+        if ufunc is np.add and out.shape[-1] == 16:   # b1 onto the (S, B, H) pre-activations
+            assert out.shape[1] == 1
+            b1_adds += 1
         for a in operands:
             if a.shape != out.shape:
                 if ufunc is np.add:
-                    assert out.ndim == 3 and a.shape == (out.shape[0], 1, out.shape[2])
+                    assert out.shape[2] == 3 and a.shape == (out.shape[0], 1, 3)
                 else:
                     assert ufunc is np.divide and a.shape == (2, out.shape[1], 1)
+    assert b1_adds == one_sample_steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6), batch=st.integers(1, 20), hidden=st.integers(1, 20),
+       epoch=st.integers(0, 50), seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=3, batch=1, hidden=16, epoch=0, seed=1)   # a 1-sample step
+@example(rows=2, batch=8, hidden=1, epoch=0, seed=2)    # a 1-unit step
+def test_first_product_keeps_the_bits_of_a_separate_b1_add(rows, batch, hidden, epoch, seed):
+    # the kernel folds b1 into the first product where that product is
+    # matrix-matrix (batch and hidden >= 2), and adds it after a
+    # matrix-vector product. Either way the output errors of gradients, and
+    # the loss of a one-step epoch, are bitwise the reference's, which adds
+    # b1 after a 2-D np.dot. Where the rows of ones keep the bits of batch
+    # sums (batch <= 15, hidden >= 2; see the _kernels docstring), the
+    # gradients and the stacked epoch's parameters are bitwise the
+    # reference's too; elsewhere they are bitwise the same model alone. The
+    # parameters are random, so b1 is not 0.
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-1, 1, (rows, 7 * hidden + 3))
+    x = rng.uniform(0, 1, (rows, batch, 3))
+    y = rng.normal(0, 1, (rows, batch, 3))
+    like_reference = batch <= 15 and hidden > 1
+
+    err, g = _kernels.gradients(*_kernels.unpack(theta, hidden), x, y)
+    for r in range(rows):
+        want_err, want_g = reference_step(_kernels.unpack(theta[r], hidden), x[r], y[r])
+        assert err[r].tobytes() == want_err.tobytes()
+        if like_reference:
+            assert g[r].tobytes() == np.concatenate([w.ravel() for w in want_g]).tobytes()
+        else:
+            _, alone = _kernels.gradients(*_kernels.unpack(theta[r:r + 1], hidden),
+                                          x[r:r + 1], y[r:r + 1])
+            assert g[r].tobytes() == alone[0].tobytes()
+
+    def one_step_epoch(params, xs, ys):
+        schedule = _kernels.plan(params, np.zeros((2,) + params.shape), hidden,
+                                 [batch] * len(params), batch)
+        schedule.x[..., :3], schedule.y[:] = xs, ys
+        return _kernels.epoch_step(schedule, epoch, 0.001)
+
+    stacked = theta.copy()
+    losses = one_step_epoch(stacked, x, y)
+    for r in range(rows):
+        want, _, want_loss = reference_epoch(_kernels.unpack(theta[r], hidden), x[r], y[r],
+                                             batch, 0.001, 0.9, 0.999, 1e-8, epoch)
+        assert losses[r] == want_loss
+        if like_reference:
+            assert stacked[r].tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+        else:
+            alone = theta[r:r + 1].copy()
+            one_step_epoch(alone, x[r:r + 1], y[r:r + 1])
+            assert stacked[r].tobytes() == alone[0].tobytes()
+
+
+def test_chunks_keep_their_byte_bound():
+    # a chunk holds at most 16 epochs of bias corrections and of the
+    # caller's shuffled orders, in at most 1 MB per stack, and at least one
+    # epoch; a one-epoch chunk writes its bias corrections straight into the
+    # array the steps read, so it costs no memory of its own
+    for rows, n, chunk in ((5, 460, 16), (30, 309, 11), (300, 460, 1)):
+        theta = np.zeros((rows, 7 * 16 + 3))
+        schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, [n] * rows, 8)
+        assert schedule.chunk == chunk == len(schedule.bc_chunk)
+        per_epoch = schedule.bc.nbytes + rows * n * np.dtype(np.intp).itemsize
+        assert chunk * per_epoch <= 1 << 20 or chunk == 1
+    assert np.shares_memory(schedule.bc_chunk, schedule.bc)
 
 
 def test_plan_of_default_sweep():

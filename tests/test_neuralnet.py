@@ -281,6 +281,59 @@ def test_train_divergence_raises(box):
         train(ds, TrainingConfig(seed=1, learning_rate=1e150))
 
 
+def recorded_epochs(monkeypatch):
+    """Wrap ``_kernels.epoch_step``; returns the list to which each call
+    appends (its schedule's chunk, the row-0 inputs it gathered, and the
+    bias corrections it wrote for row 0, (batches, 2))."""
+    seen, epoch_step = [], _kernels.epoch_step
+
+    def recording(schedule, epoch, lr):
+        losses = epoch_step(schedule, epoch, lr)
+        seen.append((schedule.chunk, schedule.x[0, :, :3].copy(), schedule.bc[:, :, 0, 0].copy()))
+        return losses
+
+    monkeypatch.setattr(_kernels, "epoch_step", recording)
+    return seen
+
+
+def test_shuffles_and_bias_corrections_come_per_chunk_with_per_epoch_values(monkeypatch, box):
+    # one row, early stopping off, for 37 epochs: the run crosses chunk
+    # boundaries and does not end on one. Each epoch still gathers the order
+    # of one permutation call per epoch on the row's generator, and its steps
+    # read the bias corrections 1 - beta**t of their Adam steps t
+    ds = generate_grid(box, 3)
+    cfg = TrainingConfig(seed=5, max_epochs=37, early_stopping=False)
+    seen = recorded_epochs(monkeypatch)
+    train(ds, cfg)
+    chunk = seen[0][0]
+    assert len(seen) == 37 and 1 < chunk < 37 and 37 % chunk
+    train_idx, _ = split_dataset(ds, cfg)
+    x = normalize_input(ds.points, ds.box)
+    rng = np.random.default_rng([cfg.seed, 2])
+    q = -(-len(train_idx) // cfg.batch_size)
+    for epoch, (_, gathered, bc) in enumerate(seen):
+        np.testing.assert_array_equal(gathered, x[rng.permutation(train_idx)])
+        assert bc.tolist() == [[1.0 - beta ** t for beta in (0.9, 0.999)]
+                               for t in range(epoch * q + 1, epoch * q + q + 1)]
+
+
+def test_row_that_stops_mid_chunk_leaves_the_others_as_alone(monkeypatch, box):
+    # one stack of k = 4, 3 and 2 (seeds 1 and 4); the k = 2 rows stop early
+    # at epochs 71 and 77, in the middle of their shuffle chunks, having
+    # drawn orders they never use; every row is bitwise the model alone
+    jobs = [(generate_grid(box, k), TrainingConfig(seed=s, max_epochs=100))
+            for k, s in ((4, 1), (3, 2), (2, 1), (2, 4))]
+    alone = [train(ds, cfg) for ds, cfg in jobs]
+    seen = recorded_epochs(monkeypatch)
+    stack = neuralnet._train_stack(jobs)
+    chunk = seen[0][0]
+    stops = [t.epochs_run for _, t in stack]
+    assert stops == [100, 100, 71, 77] and stack[2][1].stopped_early
+    assert all(epochs % chunk for epochs in stops[2:])
+    for got, want in zip(stack, alone):
+        assert_same_training(got, want)
+
+
 def assert_same_training(a, b):
     (pa, ta), (pb, tb) = a, b
     for name in ("w1", "b1", "w2", "b2"):

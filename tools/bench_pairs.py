@@ -8,7 +8,12 @@ metrics, written as a ``BENCH_<N>.json`` record.
 
 Run it from the root of an ikann git repository. Each of the two commits is
 cloned once into its own directory under ``--work``, so neither side runs
-from the working tree. Pair i runs ``perfbench/run.py --workload W --seed
+from the working tree. The clones start without bytecode caches, and where
+``PYTHONDONTWRITEBYTECODE`` is set none is written, so every process
+compiles ``src/ikann/`` (about 15 ms on a 2-core x86-64 host): 5 times per
+``cli-single`` round and once per set-up sample. The record's
+``environment`` keeps that variable's value, or null where it is unset,
+since it moves ``setup_s`` and ``cli-single``'s ``wall_s``. Pair i runs ``perfbench/run.py --workload W --seed
 seed0 + i --seconds S --trace 0`` on both sides, the parent first in even
 pairs and the change first in odd ones, one run at a time. Per side the
 record keeps the quartiles (inclusive method) of ``setup_s``, ``wall_s`` and
@@ -63,6 +68,15 @@ def run_once(tree, workload, seed, seconds, trace=0):
                           cwd=tree, check=True, text=True, stdout=subprocess.PIPE)
     *_, env_line, result_line = proc.stdout.splitlines()
     return json.loads(env_line)["environment"], json.loads(result_line)
+
+
+def environment(env):
+    """A record's ``environment``: the fields of perfbench's environment line
+    ``env``, and this process's ``PYTHONDONTWRITEBYTECODE``, which both
+    sides' runs inherit."""
+    out = {k: env[k] for k in ("python", "numpy", "blas", "cpu_count", "cpu_affinity")}
+    out["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    return out
 
 
 def quartiles(values):
@@ -151,8 +165,7 @@ def main():
     workloads = record.setdefault("workloads", {})
     for workload in args.workload:
         env, block = compare(trees, workload, args.pairs, args.seed0, args.seconds)
-        record["environment"] = {k: env[k] for k in ("python", "numpy", "blas", "cpu_count",
-                                                     "cpu_affinity")}
+        record["environment"] = environment(env)
         record["command"] = "python3 perfbench/run.py --workload W --seed N --seconds " \
                             f"{args.seconds} --trace 0"
         record["method"] = METHOD
