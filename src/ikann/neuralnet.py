@@ -297,19 +297,20 @@ def _train_stack(jobs) -> list:
     running = np.ones(len(rows), dtype=bool)
     losses = np.empty((min(cfg.max_epochs, 1024), 2, len(rows)))
     # each row's shuffled training indices for a chunk of epochs, drawn in
-    # one call per row: permuted along axis 1 of a (chunk, n) tile of the
-    # indices takes the same draws from the generator as one permutation per
-    # epoch. A row that stops mid-chunk has drawn its whole chunk, and
-    # nothing reads the steps it takes after it stops
+    # one call per row: permuted in place along axis 1 of a (chunk, n) tile
+    # of the indices takes the same draws from the generator as one
+    # permutation per epoch. A row that stops mid-chunk has drawn its whole
+    # chunk, and nothing reads the steps it takes after it stops
     chunk = schedule.chunk
     orders = np.zeros((chunk, len(rows), n_train[0]), dtype=np.intp)
-    tiles = [np.broadcast_to(t, (chunk, len(t))) for t in train_idx]
     for epoch in range(cfg.max_epochs):
         if epoch == len(losses):   # grown on demand: a run may stop long before max_epochs
             losses = np.concatenate((losses, np.empty_like(losses)))
         if epoch % chunk == 0:   # a stopped row repeats its last chunk
             for r in np.flatnonzero(running).tolist():
-                rngs[r].permuted(tiles[r], axis=1, out=orders[:, r, :n_train[r]])
+                tile = orders[:, r, :n_train[r]]
+                tile[...] = train_idx[r]
+                rngs[r].permuted(tile, axis=1, out=tile)
         shuffled = orders[epoch % chunk]
         loss = losses[epoch]
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
