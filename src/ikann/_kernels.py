@@ -13,9 +13,9 @@ operation. A row holds, in order and flattened:
 so P = 7 * hidden + 3. The weights are transposed relative to the public
 ``NetworkParams`` so the forward products read C-contiguous weights.
 
-The models of a stack may train on sets of different sizes. The rows are
-sorted by training-set size, largest first, so the rows that have a full
-batch j form a prefix of the stack, and one step on views of that prefix
+The models of a stack may train on sets of different sizes. The caller
+sorts the rows by training-set size, largest first, so the rows that have a
+full batch j form a prefix of the stack, and one step on views of that prefix
 serves them all; each block of rows of one size then takes its short last
 batch together (:func:`plan`). A row takes the same steps every epoch, so
 its Adam step count follows from the epoch. The rows stay fixed for a whole
@@ -56,15 +56,17 @@ keep that order).
 
 A step's cost is mostly call overhead, so :func:`plan` builds, once per
 stack, everything the step loop hands to a ufunc, and the loop does no more
-than call. The schedule holds two flat tuples per step, the arguments of
-:func:`_backprop` and those of the Adam update, so a step is one star-call
-and one unpack. No ufunc of a step takes a Python scalar: converting one
+than call. The plan also holds the run's per-chunk buffers: the shuffled
+orders that the caller draws into for a chunk of epochs, and the chunk's
+bias corrections. The schedule holds two flat tuples per step, the
+arguments of :func:`_backprop` and those of the Adam update, so a step is
+one star-call and one unpack. No ufunc of a step takes a Python scalar: converting one
 costs more than reading an array of the operand's full shape, so each
 constant is such an array, holding the same value, and each ufunc does the
 same IEEE operation on the same values. ADAM_EPS and the learning rate are
-(S, P) row views of one (R, P) array each, and :func:`epoch_step` writes its
-learning rate into its array once per call; the error scale 2 / (3B) (S, B,
-3) and the ReLU's 0.0 (S, B, H) live in the scratch of their step shape.
+(S, P) row views of one (R, P) array each, which :func:`plan` fills once for
+the run; the error scale 2 / (3B) (S, B, 3) and the ReLU's 0.0 (S, B, H)
+live in the scratch of their step shape.
 Only the (2, S, 1) bias corrections, b2 and the b1 of a one-unit step still
 broadcast. Every ufunc of a step takes its output as a positional
 argument and is bound once at import: an ``out=`` keyword and a numpy
@@ -252,40 +254,27 @@ def runs(values):
         lo = hi
 
 
-class _Step(NamedTuple):
-    """One stacked step of an epoch: its rows, the columns of their shuffled
-    data it reads, its batch index j in each row's epoch, and its
-    :class:`_Scratch`. :func:`epoch_step` runs it from its pair in the
-    schedule's ``loop``."""
-
-    rows: slice
-    cols: slice
-    j: int
-    scratch: _Scratch
-
-
 class _Schedule(NamedTuple):
-    """One epoch of a stack, from :func:`plan`: its :class:`_Step` list, each
-    row's sum of squared errors, the runs (lo, hi, q) of rows taking q steps
-    per epoch, each row's loss divisor 3 * n_train, the moments (2, R, P),
-    the buffers the steps read: the epoch's shuffled inputs x (R, n, 4),
-    whose last column is ones, and targets y (R, n, 3), and the bias
-    corrections (batches, 2, R, 1); the loss
-    sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0]) of
-    each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is the
-    sum of squared errors; the ``loop`` of :func:`epoch_step`, each step's
-    pair of flat tuples in order: the arguments of :func:`_backprop`
+    """One epoch of a stack, from :func:`plan`: each row's sum of squared
+    errors, the runs (lo, hi, q) of rows taking q steps per epoch, each row's
+    loss divisor 3 * n_train, the moments (2, R, P), the buffers the steps
+    read: the epoch's shuffled inputs x (R, n, 4), whose last column is ones,
+    and targets y (R, n, 3), and the bias corrections (batches, 2, R, 1); the
+    loss sums of :func:`_epoch_sse`: the (part of y, axes, view of sums[0])
+    of each batch sum, and the sums (2, R, batches + 1), whose [1, :, -1] is
+    the sum of squared errors; the ``loop`` of :func:`epoch_step`, each
+    step's pair of flat tuples in order: the arguments of :func:`_backprop`
     (:func:`_backprop_args`) and those of the Adam update, (g, g0, g1) of the
     step's scratch, then the rows' views of the factors (1 - beta1,
     1 - beta2), the moments (2, S, P), the factors (beta1, beta2), the bias
     corrections (2, S, 1), ADAM_EPS, the learning rate and the parameters
-    (S, P); the learning rate (R, P) that the Adam updates read; the number
-    of epochs in a chunk, for which the bias corrections are computed, and
-    the caller's shuffles drawn, at once; the bias corrections of a chunk's
-    epochs (chunk, batches, 2, R, 1) from :func:`_bias_corrections`, and in
-    a one-item list the first of those epochs."""
+    (S, P); the number of epochs in a chunk, for which the bias corrections
+    are computed, and the shuffles drawn, at once; each row's shuffled
+    training indices for the epochs of a chunk (chunk, R, n), which the
+    caller draws; the bias corrections of a chunk's epochs (chunk, batches,
+    2, R, 1) from :func:`_bias_corrections`, and in a one-item list the
+    first of those epochs."""
 
-    steps: list
     sse: np.ndarray
     per_epoch: list
     n3: np.ndarray
@@ -296,15 +285,17 @@ class _Schedule(NamedTuple):
     parts: list
     sums: np.ndarray
     loop: list
-    lr: np.ndarray
     chunk: int
+    orders: np.ndarray
     bc_chunk: np.ndarray
     bc_from: list
 
 
-def plan(theta, mv, hidden, n_train, batch_size):
+def plan(theta, mv, hidden, n_train, batch_size, lr):
     """The mini-batch steps of one epoch for a stack whose rows are sorted by
-    training-set size ``n_train`` (R,), largest first.
+    training-set size ``n_train`` (R,), largest first, at learning rate
+    ``lr``, which fills the plan's (R, P) learning-rate array once for the
+    whole run.
 
     Batch j runs as one step on the prefix of rows that have a full batch j;
     after the full batches, each block of rows of one size takes its short
@@ -319,9 +310,10 @@ def plan(theta, mv, hidden, n_train, batch_size):
     updated in place, so one plan serves a whole run.
 
     A chunk holds at most _CHUNK_EPOCHS epochs, as many as fit in
-    _CHUNK_BYTES with the caller's (chunk, R, n) shuffled orders, and at
-    least one. A chunk of one epoch computes its bias corrections straight
-    into the array the steps read, so it needs no memory of its own.
+    _CHUNK_BYTES with their (chunk, R, n) shuffled orders, and at least one;
+    the plan allocates both arrays. A chunk of one epoch computes its bias
+    corrections straight into the array the steps read, so it needs no
+    memory of its own.
     """
     n_train = [int(n) for n in n_train]
     rows = len(n_train)
@@ -330,6 +322,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
     bc = np.ones((batches, 2, rows, 1))
     chunk = max(1, min(_CHUNK_EPOCHS, _CHUNK_BYTES // (8 * rows * (n_train[0] + 2 * batches))))
     bc_chunk = bc[None] if chunk == 1 else np.ones((chunk,) + bc.shape)
+    orders = np.zeros((chunk, rows, n_train[0]), dtype=np.intp)
     # a last column of zeros that no batch writes, so that the running sum
     # ends in each row's total (total + 0 is the total: it is not -0)
     sums = np.zeros((2, rows, batches + 1))
@@ -338,7 +331,7 @@ def plan(theta, mv, hidden, n_train, batch_size):
     decay = np.empty_like(mv)
     decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
     gain = 1.0 - decay
-    eps, lr = np.full(theta.shape, ADAM_EPS), np.empty(theta.shape)
+    eps, lr = np.full(theta.shape, ADAM_EPS), np.full(theta.shape, lr)
     scratch = {}
 
     def step(lo, hi, cols, j):
@@ -347,14 +340,13 @@ def plan(theta, mv, hidden, n_train, batch_size):
         if shape not in scratch:
             scratch[shape] = _scratch(*shape, hidden)
         s = scratch[shape]
-        steps.append(_Step(r, cols, j, s))
         _, _, a2, b2 = unpack(theta[r], hidden)
         w1 = theta[r, :4 * hidden].reshape(hi - lo, 4, hidden)
         loop.append((_backprop_args(w1, a2, b2, x[r, cols], y[r, cols], s),
                      (s.g, s.g0, s.g1, gain[:, r], mv[:, r], decay[:, r], bc[j, :, r], eps[r],
                       lr[r], theta[r])))
 
-    steps, loop, parts = [], [], []
+    loop, parts = [], []
     for j in range(n_train[0] // batch_size):
         a = sum(n // batch_size > j for n in n_train)
         step(0, a, slice(j * batch_size, (j + 1) * batch_size), j)
@@ -367,8 +359,8 @@ def plan(theta, mv, hidden, n_train, batch_size):
             step(lo, hi, slice(full * batch_size, n), full)
             parts.append((y[lo:hi, full * batch_size:n], (1, 2), sums[0, lo:hi, full]))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
-    return _Schedule(steps, sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc,
-                     parts, sums, loop, lr, chunk, bc_chunk, [-chunk])
+    return _Schedule(sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc, parts,
+                     sums, loop, chunk, orders, bc_chunk, [-chunk])
 
 
 def _bias_corrections(first, per_epoch, bc_chunk):
@@ -407,7 +399,7 @@ def _epoch_sse(y, parts, sums):
     add.accumulate(sums[0], axis=1, out=sums[1])
 
 
-def epoch_step(schedule, epoch, lr):
+def epoch_step(schedule, epoch):
     """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
     parameters and moments in place through the views of ``schedule`` (from
     :func:`plan`). At the end, every moment entry in the subnormal range is
@@ -415,24 +407,23 @@ def epoch_step(schedule, epoch, lr):
 
     ``schedule.x`` (R, n, 4) and ``schedule.y`` (R, n, 3) must hold each
     row's training inputs, followed by a column of ones, and targets in this
-    epoch's shuffled order, padded to the longest set. The epoch uses up
+    epoch's shuffled order, padded to the longest set; the caller draws the
+    orders into the plan's ``orders``. The epoch uses up
     ``schedule.y``: each step writes its output errors over its targets, and
     the loss is summed from them once at the end (:func:`_epoch_sse`), so
     the caller writes the targets again before every epoch. Returns each
-    row's mean squared pre-update batch error (R,). ``lr`` is written into
-    the schedule's learning-rate array, which every step reads; outputs are
-    positional (see the module docstring). The bias corrections are
-    computed for a chunk of epochs from the first epoch outside the last
-    chunk computed, and each epoch copies its own with one call.
+    row's mean squared pre-update batch error (R,). Every step reads the
+    learning rate that :func:`plan` filled in; outputs are positional (see
+    the module docstring). The bias corrections are computed for a chunk of
+    epochs from the first epoch outside the last chunk computed, and each
+    epoch copies its own with one call.
     """
-    _, sse, per_epoch, n3, mv, _, y, bc, parts, sums, loop, lrs, chunk, bc_chunk, bc_from \
-        = schedule
+    sse, per_epoch, n3, mv, _, y, bc, parts, sums, loop, chunk, _, bc_chunk, bc_from = schedule
     first = bc_from[0]
     if not first <= epoch < first + chunk:
         bc_from[0] = first = epoch
         _bias_corrections(epoch, per_epoch, bc_chunk)
     copyto(bc, bc_chunk[epoch - first])   # in a one-epoch chunk, onto itself
-    lrs.fill(lr)
     for backprop, adam in loop:
         _backprop(*backprop)
         g, g0, g1, gain, m_v, decay, bc, eps, rate, theta = adam

@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="ANN inverse kinematics for a 3-DOF arm: training, "
                     "tracking evaluation, error bounds, and sample-count sweeps.")
     parser.add_argument("--box", default=None, metavar="X1MIN,X1MAX,X2MIN,X2MAX,X3MIN,X3MAX",
-                        help="workspace box in mm (default 20,80,20,80,0,60)")
+                        help="workspace box in mm (default 20,80,20,80,0,60); write "
+                             "--box=-30,30,... when the first bound is negative")
     parser.add_argument("--links", default=None, metavar="L1,L2,L3",
                         help="link lengths in mm (default 70,70,70)")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
@@ -168,6 +169,9 @@ def _cmd_sweep(args, geom, box):
     for path in (args.report, args.json):
         if path is not None:
             _check_output(path)
+    # the JSON mirror would overwrite the report, through any spelling or link
+    if args.json is not None and os.path.realpath(args.json) == os.path.realpath(args.report):
+        raise ValueError(f"--report {args.report} and --json {args.json} name the same file")
     ks = [int(v) for v in args.axis_counts.split(",")]
     if not 1 <= args.repeats <= _MAX_REPEATS:
         raise ValueError(f"--repeats must lie in [1, {_MAX_REPEATS}]")

@@ -201,17 +201,19 @@ def train_lockstep(jobs) -> list:
     if any(replace(c, seed=cfg.seed) != cfg for _, c in jobs):
         raise ValueError("configs trained in lockstep may differ only in seed")
 
+    # row r trains job order[r], largest training set first (a stable sort)
     n_train = [split_sizes(ds.n, c)[0] for ds, c in jobs]
-    top = max(n_train)
-    largest, rest = [], []
-    for i, n in enumerate(n_train):
-        (largest if n == top else rest).append(i)
+    order = sorted(range(len(jobs)), key=lambda i: -n_train[i])
+    rows = [jobs[i] for i in order]
+    split = n_train.count(max(n_train))   # rows[:split] hold the largest set
     affinity = getattr(os, "sched_getaffinity", None)
-    if not rest or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
-        return _train_stack(jobs)
-    trained = dict(zip(largest + rest, _train_in_two([jobs[i] for i in largest],
-                                                      [jobs[i] for i in rest])))
-    return [trained[i] for i in range(len(jobs))]
+    if split == len(rows) or not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        trained = _train_stack(rows)
+    else:
+        trained = _train_in_two(rows[:split], rows[split:])
+    # the row of each job; a Python sort, since numpy's first argsort in a
+    # process maps 384 KB of its sort code into memory
+    return [trained[r] for r in sorted(range(len(jobs)), key=order.__getitem__)]
 
 
 def _train_in_two(here, there) -> list:
@@ -255,17 +257,15 @@ def _train_in_two(here, there) -> list:
     return own + theirs
 
 
-def _train_stack(jobs) -> list:
-    """:func:`train_lockstep` of a validated job list, every model in this
-    process and in one stack."""
-    cfg = jobs[0][1]
-    # stack row r trains job order[r], largest training set first; every
-    # per-model buffer below is indexed by row, and a row never moves
-    order = sorted(range(len(jobs)), key=lambda i: -split_sizes(jobs[i][0].n, cfg)[0])
-    rows = [jobs[i] for i in order]
-    # each row's dataset in x_all, y_all from index start[r]; the indices below
-    # are into them. x_all carries the column of ones of the kernel's inputs
-    # (_kernels.plan)
+def _train_stack(rows) -> list:
+    """:func:`train_lockstep` of validated jobs already sorted by
+    training-set size, largest first, every model in this process and in one
+    stack; returns the results in the order of ``rows``."""
+    cfg = rows[0][1]
+    # every per-model buffer below is indexed by row, and a row never moves.
+    # Each row's dataset is in x_all, y_all from index start[r]; the indices
+    # below are into them. x_all carries the column of ones of the kernel's
+    # inputs (_kernels.plan)
     x_all = np.concatenate([np.column_stack((normalize_input(ds.points, ds.box), np.ones(ds.n)))
                             for ds, _ in rows])
     y_all = np.concatenate([ds.angles for ds, _ in rows])
@@ -277,7 +277,7 @@ def _train_stack(jobs) -> list:
 
     theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for _, c in rows])
     mv = np.zeros((2,) + theta.shape)   # Adam's first and second moments
-    schedule = _kernels.plan(theta, mv, cfg.hidden, n_train, cfg.batch_size)
+    schedule = _kernels.plan(theta, mv, cfg.hidden, n_train, cfg.batch_size, cfg.learning_rate)
     blocks = []   # one validation call per run of equal val sizes
     for lo, hi, nv in _kernels.runs(len(i) for i in val_idx):
         if nv:
@@ -288,36 +288,34 @@ def _train_stack(jobs) -> list:
     best = np.zeros_like(theta)
     rngs = [np.random.default_rng([c.seed, 2]) for _, c in rows]
     # the early-stopping state of every row, updated by masks once per epoch;
-    # losses[e, 0 | 1, r] is row r's train | validation loss in epoch e
+    # losses[e][0 | 1, r] is row r's train | validation loss in epoch e
     best_val = np.full(len(rows), math.inf)
     prev_val = np.full(len(rows), math.inf)
     bad_epochs = np.zeros(len(rows), dtype=int)
     epochs_run = np.zeros(len(rows), dtype=int)
     stopped = np.zeros(len(rows), dtype=bool)
     running = np.ones(len(rows), dtype=bool)
-    losses = np.empty((min(cfg.max_epochs, 1024), 2, len(rows)))
+    losses = []
     # each row's shuffled training indices for a chunk of epochs, drawn in
     # one call per row: permuted in place along axis 1 of a (chunk, n) tile
     # of the indices takes the same draws from the generator as one
     # permutation per epoch. A row that stops mid-chunk has drawn its whole
     # chunk, and nothing reads the steps it takes after it stops
-    chunk = schedule.chunk
-    orders = np.zeros((chunk, len(rows), n_train[0]), dtype=np.intp)
+    chunk, orders = schedule.chunk, schedule.orders
     for epoch in range(cfg.max_epochs):
-        if epoch == len(losses):   # grown on demand: a run may stop long before max_epochs
-            losses = np.concatenate((losses, np.empty_like(losses)))
         if epoch % chunk == 0:   # a stopped row repeats its last chunk
             for r in np.flatnonzero(running).tolist():
                 tile = orders[:, r, :n_train[r]]
                 tile[...] = train_idx[r]
                 rngs[r].permuted(tile, axis=1, out=tile)
         shuffled = orders[epoch % chunk]
-        loss = losses[epoch]
+        loss = np.empty((2, len(rows)))
+        losses.append(loss)
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
             np.take(x_all, shuffled, axis=0, out=schedule.x)
             np.take(y_all, shuffled, axis=0, out=schedule.y)
-            loss[0] = _kernels.epoch_step(schedule, epoch, cfg.learning_rate)
+            loss[0] = _kernels.epoch_step(schedule, epoch)
             loss[1] = loss[0]
             for sl, params, x_val, y_val in blocks:
                 loss[1, sl] = _kernels.mse(*params, x_val, y_val)
@@ -339,6 +337,7 @@ def _train_stack(jobs) -> list:
 
     if not cfg.early_stopping:
         best = theta
+    losses = np.stack(losses)
     trained = []
     for r, epochs in enumerate(epochs_run.tolist()):
         # a row stops running at its first non-finite loss, so only its last can be
@@ -349,6 +348,4 @@ def _train_stack(jobs) -> list:
         else:
             trained.append(NonFiniteLoss(f"loss diverged at epoch {epochs} "
                                          f"(train={train_loss[-1]}, val={val_loss[-1]})"))
-    # the row of each job; a Python sort, since numpy's first argsort in a
-    # process maps 384 KB of its sort code into memory
-    return [trained[r] for r in sorted(range(len(jobs)), key=order.__getitem__)]
+    return trained

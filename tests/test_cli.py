@@ -401,3 +401,27 @@ def test_bad_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
     assert os.listdir(tmp_path) == ["d"] and not os.listdir(tmp_path / "d")
+
+
+@pytest.mark.parametrize("spelling", ["same path", "dot slash", "symlink"])
+def test_sweep_report_and_json_on_one_file_fail_before_the_work(tmp_path, capsys, monkeypatch,
+                                                               spelling):
+    # the JSON mirror would overwrite the report, so two output paths that
+    # resolve to one file are rejected before any cell trains, and no file
+    # is written
+    def must_not_train(*args):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr("ikann.cli.run_sweep", must_not_train)
+    monkeypatch.chdir(tmp_path)
+    if spelling == "symlink":
+        os.symlink("r.csv", "link")
+    mirror = {"same path": "r.csv", "dot slash": "./r.csv", "symlink": "link"}[spelling]
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["sweep", "--axis-counts", "2", "--repeats", "1", "--report", "r.csv",
+               "--json", mirror])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "r.csv" in err and mirror in err
+    assert sorted(os.listdir(tmp_path)) == before

@@ -40,7 +40,7 @@ def one_cell(k, seed, cfg=HarnessConfig()):
 
 # --- one cell ---------------------------------------------------------------
 
-def test_run_experiment_k5(box):
+def test_one_cell_k5(box):
     row = one_cell(5, 42, QUICK)
     assert row.n == 125
     assert row.spacing_mm == 15.0
@@ -50,13 +50,13 @@ def test_run_experiment_k5(box):
     assert row.est_bound_mm == sample_bound(row.n, row.w_bar) * 60.0
 
 
-def test_run_experiment_deterministic():
+def test_one_cell_deterministic():
     a = one_cell(3, 7, QUICK)
     b = one_cell(3, 7, QUICK)
     assert a == b
 
 
-def test_run_experiment_heart_path():
+def test_one_cell_heart_path():
     row = one_cell(3, 1, HarnessConfig(training=QUICK.training, path_kind="heart"))
     assert row.path_kind == "heart"
     assert math.isfinite(row.mean_err_mm)
@@ -111,7 +111,7 @@ def test_run_sweep_repeated_cells_run_once():
     np.testing.assert_equal(asdict(repeated.summary), asdict(distinct.summary))
 
 
-def test_sweep_rows_match_run_experiment():
+def test_sweep_rows_match_one_cell():
     # k = 3 has a one-row tail batch, and seeds 1..5 include two that stop
     # early while the others train on to max_epochs
     res = run_sweep([3], range(1, 6))

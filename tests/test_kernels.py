@@ -1,6 +1,8 @@
 """Stacked-kernel checks: a stack of models computes what each model computes
 alone."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,9 +67,9 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step, momen
 
 def stacked_epoch(theta, n_train, x, y, epoch):
     """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
     schedule.x[..., :3], schedule.y[:] = x, y
-    return _kernels.epoch_step(schedule, epoch, 0.001)
+    return _kernels.epoch_step(schedule, epoch)
 
 
 def assert_rows_match_reference(seeds, n_train, epoch, x, y):
@@ -112,25 +114,24 @@ def test_mixed_size_stack_matches_single_models():
     assert_rows_match_reference(seeds, n_train, 10, x, y)
 
 
-def assert_epochs_match_reference(seeds, n_train, epochs, rng, lrs=None):
-    """Train a stack ``epochs`` epochs on fresh data each epoch, as
-    ``_train_stack`` does, and assert that every row's loss and parameters
-    are bitwise those of the reference epochs of the model alone. The padding
-    past each row's own set is NaN, so a step or a loss sum that read it
-    would show. ``lrs`` gives each epoch's learning rate, 0.001 unless
-    given."""
+def assert_epochs_match_reference(seeds, n_train, epochs, rng, lr=0.001):
+    """Train a stack ``epochs`` epochs at learning rate ``lr`` on fresh data
+    each epoch, as ``_train_stack`` does, and assert that every row's loss
+    and parameters are bitwise those of the reference epochs of the model
+    alone. The padding past each row's own set is NaN, so a step or a loss
+    sum that read it would show."""
     rows, longest = len(seeds), n_train[0]
     theta = np.stack([flat_row(s) for s in seeds])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, lr)
     refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
     moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
-    for epoch, lr in enumerate(lrs or [0.001] * epochs):
+    for epoch in range(epochs):
         x = rng.uniform(0, 1, (rows, longest, 3))
         y = rng.normal(0, 1, (rows, longest, 3))
         for row, n in enumerate(n_train):
             x[row, n:] = y[row, n:] = np.nan
         schedule.x[..., :3], schedule.y[:] = x, y   # plan starts the last column at 1
-        losses = _kernels.epoch_step(schedule, epoch, lr)
+        losses = _kernels.epoch_step(schedule, epoch)
         for row, n in enumerate(n_train):
             refs[row], _, loss = reference_epoch(refs[row], x[row, :n], y[row, :n], 8, lr,
                                                  0.9, 0.999, 1e-8, epoch * -(-n // 8),
@@ -165,11 +166,35 @@ def test_epoch_loss_is_the_sum_of_the_step_losses():
 
 
 def test_one_plan_takes_each_calls_learning_rate():
-    # epoch_step writes its lr into the plan's learning-rate array on every
-    # call, so epochs at other rates from one plan are bitwise the reference
-    # epochs at those rates
-    assert_epochs_match_reference((11, 12, 13), [25, 25, 12], 3, np.random.default_rng(11),
-                                  lrs=(0.004, 0.02, 0.001))
+    # each call of plan fills its lr into the plan's learning-rate array once,
+    # and every epoch of that plan reads it, so plans at other rates run
+    # epochs bitwise the reference epochs at those rates
+    rng = np.random.default_rng(11)
+    for lr in (0.004, 0.02, 0.001):
+        assert_epochs_match_reference((11, 12, 13), [25, 25, 12], 3, rng, lr=lr)
+
+
+BACKPROP_PARAMETERS = list(inspect.signature(_kernels._backprop).parameters)
+
+
+def backprop_arg(step, name):
+    """The argument ``name`` of a schedule step's ``_backprop`` call."""
+    return step[0][BACKPROP_PARAMETERS.index(name)]
+
+
+def index_in(view, base):
+    """The index in ``base`` of the first element of ``view``, a view of it."""
+    offset = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    return tuple(int(i) for i in np.unravel_index(offset // base.itemsize, base.shape))
+
+
+def step_place(schedule, step):
+    """A schedule step's rows, its columns of the epoch's data and its batch
+    index j, read from its views of the targets and of the bias corrections
+    (the seventh argument of its Adam update)."""
+    y, bc = backprop_arg(step, "y"), step[1][6]
+    row, col, _ = index_in(y, schedule.y)
+    return slice(row, row + len(y)), slice(col, col + y.shape[1]), index_in(bc, schedule.bc)[0]
 
 
 class Recorder:
@@ -203,10 +228,10 @@ def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
         monkeypatch.setattr(_kernels, name, Recorder(getattr(np, name), calls))
     rng = np.random.default_rng(12)
     theta = np.stack([flat_row(s) for s in range(len(n_train))])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
     schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
     schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
-    _kernels.epoch_step(schedule, 0, 0.001)
+    _kernels.epoch_step(schedule, 0)
 
     # 6 elementwise calls in _backprop and 10 in the Adam update per step,
     # the b1 add of each 1-sample step, and _epoch_sse's square. Each size
@@ -214,9 +239,9 @@ def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
     # and k = 3 (25) in the default sweep
     one_sample_steps = len({n for n in n_train if n % 8 == 1})
     assert one_sample_steps == (2 if len(n_train) > 1 else 0)
-    assert sum(step.cols.stop - step.cols.start == 1 for step in schedule.steps) \
+    assert sum(backprop_arg(step, "y").shape[1] == 1 for step in schedule.loop) \
         == one_sample_steps
-    assert len(calls) == 16 * len(schedule.steps) + one_sample_steps + 1
+    assert len(calls) == 16 * len(schedule.loop) + one_sample_steps + 1
     b1_adds = 0
     for ufunc, args, kwargs in calls:
         *operands, out = args[:ufunc.nin] + (args[ufunc.nin:] or (kwargs["out"],))
@@ -267,9 +292,9 @@ def test_first_product_keeps_the_bits_of_a_separate_b1_add(rows, batch, hidden, 
 
     def one_step_epoch(params, xs, ys):
         schedule = _kernels.plan(params, np.zeros((2,) + params.shape), hidden,
-                                 [batch] * len(params), batch)
+                                 [batch] * len(params), batch, 0.001)
         schedule.x[..., :3], schedule.y[:] = xs, ys
-        return _kernels.epoch_step(schedule, epoch, 0.001)
+        return _kernels.epoch_step(schedule, epoch)
 
     stacked = theta.copy()
     losses = one_step_epoch(stacked, x, y)
@@ -286,15 +311,16 @@ def test_first_product_keeps_the_bits_of_a_separate_b1_add(rows, batch, hidden, 
 
 
 def test_chunks_keep_their_byte_bound():
-    # a chunk holds at most 16 epochs of bias corrections and of the
-    # caller's shuffled orders, in at most 1 MB per stack, and at least one
-    # epoch; a one-epoch chunk writes its bias corrections straight into the
-    # array the steps read, so it costs no memory of its own
+    # a chunk holds at most 16 epochs of bias corrections and of the plan's
+    # shuffled orders, in at most 1 MB per stack, and at least one epoch; a
+    # one-epoch chunk writes its bias corrections straight into the array
+    # the steps read, so it costs no memory of its own
     for rows, n, chunk in ((5, 460, 16), (30, 309, 11), (300, 460, 1)):
         theta = np.zeros((rows, 7 * 16 + 3))
-        schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, [n] * rows, 8)
+        schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, [n] * rows, 8, 0.001)
         assert schedule.chunk == chunk == len(schedule.bc_chunk)
-        per_epoch = schedule.bc.nbytes + rows * n * np.dtype(np.intp).itemsize
+        assert schedule.orders.shape == (chunk, rows, n) and schedule.orders.dtype == np.intp
+        per_epoch = schedule.bc.nbytes + schedule.orders[0].nbytes
         assert chunk * per_epoch <= 1 << 20 or chunk == 1
     assert np.shares_memory(schedule.bc_chunk, schedule.bc)
 
@@ -305,14 +331,16 @@ def test_plan_of_default_sweep():
     n_train = [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)]
     theta = np.zeros((len(n_train), 7 * 16 + 3))
     mv = np.zeros((2,) + theta.shape)
-    steps, _, per_epoch, n3, moments, *_ = _kernels.plan(theta, mv, 16, n_train, 8)
+    schedule = _kernels.plan(theta, mv, 16, n_train, 8, 0.001)
+    _, per_epoch, n3, moments, *_ = schedule
     assert moments is mv
+    steps = [step_place(schedule, step) for step in schedule.loop]
     assert len(steps) == 57 + 7
-    prefix = [(step.rows, step.cols, step.j) for step in steps[:57]]
+    prefix = steps[:57]
     assert prefix[0] == (slice(0, 30), slice(0, 8), 0)
     assert prefix[3] == (slice(0, 25), slice(24, 32), 3)
     assert prefix[56] == (slice(0, 5), slice(448, 456), 56)
-    tails = [(step.rows, step.cols, step.j) for step in steps[57:]]
+    tails = steps[57:]
     assert tails[0] == (slice(0, 5), slice(456, 460), 57)
     assert tails[-1] == (slice(30, 35), slice(0, 6), 0)
     # steps per epoch 58, 39, 25, 15, 8, 4 and 1; loss divisors 3 * n_train
@@ -327,23 +355,26 @@ def test_steps_of_one_shape_share_scratch_and_keep_their_ones():
     n_train = [n for n in (309, 194, 113, 58, 25, 6) for _ in range(5)]
     rng = np.random.default_rng(5)
     theta = np.stack([flat_row(s) for s in range(len(n_train))])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8)
-    steps = schedule.steps
-    assert len(steps) == 44
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
+    # each step's scratch arrays, as its backprop arguments hold them: the
+    # pre-activations, and the activations with their column of ones
+    scratch = [(backprop_arg(step, "pre"), backprop_arg(step, "h1t").transpose(0, 2, 1))
+               for step in schedule.loop]
+    assert len(scratch) == 44
 
-    first, last = steps[0].scratch, steps[-1].scratch
-    assert first.pre.shape == (25, 8, 16) and last.pre.shape == (5, 6, 16)
-    assert first.h1.shape == (25, 8, 17) and last.h1.shape == (5, 6, 17)
+    (first_pre, first_h1), (last_pre, last_h1) = scratch[0], scratch[-1]
+    assert first_pre.shape == (25, 8, 16) and last_pre.shape == (5, 6, 16)
+    assert first_h1.shape == (25, 8, 17) and last_h1.shape == (5, 6, 17)
     by_shape = {}
-    for step in steps:
-        assert by_shape.setdefault(step.scratch.pre.shape, step.scratch) is step.scratch
-    assert len(by_shape) < len(steps)
+    for pre, h1 in scratch:
+        assert by_shape.setdefault(pre.shape, pre) is pre
+    assert len(by_shape) < len(scratch)
 
     schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
     schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
-    _kernels.epoch_step(schedule, 0, 0.001)
-    for step in steps:
-        np.testing.assert_array_equal(step.scratch.h1[..., 16], 1.0)
+    _kernels.epoch_step(schedule, 0)
+    for _, h1 in scratch:
+        np.testing.assert_array_equal(h1[..., 16], 1.0)
 
 
 def train_dead_unit(epochs, moment_entries):
@@ -374,12 +405,12 @@ def train_dead_unit(epochs, moment_entries):
     theta = flat_of(p)[None]
     mv = np.zeros((2,) + theta.shape)
     mv[0, 0] = flat_of(state.m)
-    schedule = _kernels.plan(theta, mv, hidden, [n], 8)
+    schedule = _kernels.plan(theta, mv, hidden, [n], 8, lr)
     schedule.x[0, :, :3] = x
     tiny = np.finfo(float).tiny
     for epoch in range(epochs):
         schedule.y[0] = y   # an epoch writes its errors over its targets
-        _kernels.epoch_step(schedule, epoch, lr)
+        _kernels.epoch_step(schedule, epoch)
         assert not np.any((mv != 0) & (np.abs(mv) < tiny)), epoch
         for start in range(0, n, 8):
             g = backward(p, x[start:start + 8], y[start:start + 8])

@@ -45,7 +45,7 @@ def test_degenerate_axis(geom):
         inverse_kinematics((0.0, 0.0, 120.0), geom)
 
 
-def test_is_reachable_examples(geom):
+def test_reach_limits_of_inverse_kinematics(geom):
     # both spheres of the workspace shell are in reach, just beyond them not;
     # with l2 = 70, l3 = 50 the inner sphere has radius 20 about the shoulder
     inner = RobotGeometry(l1=70.0, l2=70.0, l3=50.0)

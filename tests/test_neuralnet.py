@@ -181,10 +181,11 @@ def test_adam_epoch_matches_kernel(k3_dataset):
 
     p2 = init_params(4, 3)
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 4, [ds.n], cfg.batch_size)
-    assert len(schedule[0]) == state.t
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 4, [ds.n], cfg.batch_size,
+                             cfg.learning_rate)
+    assert len(schedule.loop) == state.t
     schedule.x[0, :, :3], schedule.y[0] = x[order], y[order]
-    _kernels.epoch_step(schedule, 0, cfg.learning_rate)
+    _kernels.epoch_step(schedule, 0)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(b1, p.b1, rtol=1e-12, atol=1e-15)
@@ -287,8 +288,8 @@ def recorded_epochs(monkeypatch):
     bias corrections it wrote for row 0, (batches, 2))."""
     seen, epoch_step = [], _kernels.epoch_step
 
-    def recording(schedule, epoch, lr):
-        losses = epoch_step(schedule, epoch, lr)
+    def recording(schedule, epoch):
+        losses = epoch_step(schedule, epoch)
         seen.append((schedule.chunk, schedule.x[0, :, :3].copy(), schedule.bc[:, :, 0, 0].copy()))
         return losses
 
@@ -414,12 +415,13 @@ def test_returned_params_best_or_final(box, early_stopping):
 ])
 def test_one_plan_per_stack(monkeypatch, box, seeds, learning_rate, max_epochs, outcomes):
     # a model that stops early or diverges keeps its row, so the stack is
-    # planned once however many of its models stop
+    # planned once however many of its models stop; _train_stack takes its
+    # jobs sorted by training-set size, largest first
     plans, plan = [], _kernels.plan
     monkeypatch.setattr(_kernels, "plan", lambda *args: plans.append(args) or plan(*args))
     jobs = [(generate_grid(box, k), TrainingConfig(seed=s, max_epochs=max_epochs,
                                                    learning_rate=learning_rate))
-            for k in (2, 3) for s in seeds]
+            for k in (3, 2) for s in seeds]
     got = {"diverged" if isinstance(r, NonFiniteLoss) else
            "stopped early" if r[1].stopped_early else "ran to the end"
            for r in neuralnet._train_stack(jobs)}
@@ -481,7 +483,12 @@ def test_split_matches_one_stack(monkeypatch, box, two_cpus, seeds, learning_rat
     jobs = [(grids[k], TrainingConfig(seed=s, max_epochs=20, patience=2,
                                       learning_rate=learning_rate))
             for s in seeds for k in (2, 3, 5)]
-    stack = neuralnet._train_stack(jobs)
+    # one stack in this process, its rows sorted by training-set size as
+    # _train_stack takes them, and its results put back in job order
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].n)
+    stack = [None] * len(jobs)
+    for i, result in zip(order, neuralnet._train_stack([jobs[i] for i in order])):
+        stack[i] = result
     if learning_rate > 1:
         assert any(isinstance(r, NonFiniteLoss) for r in stack)
         assert any(not isinstance(r, NonFiniteLoss) and r[1].stopped_early for r in stack)
