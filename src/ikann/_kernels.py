@@ -1,5 +1,14 @@
-"""Numeric kernels: the forward pass, backprop, and one epoch of mini-batch
-Adam for a stack of R models trained in lockstep.
+"""Numeric kernels: the forward pass, backprop, and the epochs of mini-batch
+Adam, data path included, for a stack of R models trained in lockstep.
+
+A run is one :func:`plan` and one :func:`epoch_step` call per epoch, in
+order from epoch 0. The plan takes each row's samples, split and shuffle
+Generator, and holds the run's data. An epoch that starts a chunk of
+epochs draws every row's shuffles for the chunk and computes the chunk's
+bias corrections; every epoch then gathers each row's shuffled samples,
+steps, flushes the subnormal moments and returns each row's training and
+validation losses. The caller keeps the model's policy: init, split, early
+stopping and the loss history.
 
 The parameters of a stack live in one (R, P) float64 array, one row per
 model, so Adam updates every weight of every model with one call per
@@ -48,17 +57,17 @@ third of the outputs at batch 8 and hidden 16, so b2 is always added apart.
 
 A step writes its output errors over its view of the epoch's targets, and
 the training loss is summed from them once per epoch, not per step: the
-epoch uses up the targets, which the caller gathers again for every epoch
-anyway. Each row's loss is the sum ((0 + s_0) + s_1) + ... over its batches
-in order, each s_j numpy's pairwise sum of that batch's squared errors, the
-bits of a sum kept step by step (:func:`_epoch_sse` says which reductions
+epoch uses up the targets, which the next epoch gathers afresh anyway. Each
+row's loss is the sum ((0 + s_0) + s_1) + ... over its batches in order,
+each s_j numpy's pairwise sum of that batch's squared errors, the bits of a
+sum kept step by step (:func:`_epoch_sse` says which reductions
 keep that order).
 
 A step's cost is mostly call overhead, so :func:`plan` builds, once per
 stack, everything the step loop hands to a ufunc, and the loop does no more
-than call. The plan also holds the run's per-chunk buffers: the shuffled
-orders that the caller draws into for a chunk of epochs, and the chunk's
-bias corrections. The schedule holds two flat tuples per step, the
+than call. The plan also holds the run's data and its per-chunk buffers:
+the shuffled orders that each row draws for a chunk of epochs, and the
+chunk's bias corrections. The schedule holds two flat tuples per step, the
 arguments of :func:`_backprop` and those of the Adam update, so a step is
 one star-call and one unpack. No ufunc of a step takes a Python scalar: converting one
 costs more than reading an array of the operand's full shape, so each
@@ -255,7 +264,7 @@ def runs(values):
 
 
 class _Schedule(NamedTuple):
-    """One epoch of a stack, from :func:`plan`: each row's sum of squared
+    """A stack's run of epochs, from :func:`plan`: each row's sum of squared
     errors, the runs (lo, hi, q) of rows taking q steps per epoch, each row's
     loss divisor 3 * n_train, the moments (2, R, P), the buffers the steps
     read: the epoch's shuffled inputs x (R, n, 4), whose last column is ones,
@@ -268,12 +277,17 @@ class _Schedule(NamedTuple):
     step's scratch, then the rows' views of the factors (1 - beta1,
     1 - beta2), the moments (2, S, P), the factors (beta1, beta2), the bias
     corrections (2, S, 1), ADAM_EPS, the learning rate and the parameters
-    (S, P); the number of epochs in a chunk, for which the bias corrections
-    are computed, and the shuffles drawn, at once; each row's shuffled
-    training indices for the epochs of a chunk (chunk, R, n), which the
-    caller draws; the bias corrections of a chunk's epochs (chunk, batches,
-    2, R, 1) from :func:`_bias_corrections`, and in a one-item list the
-    first of those epochs."""
+    (S, P); the number of epochs in a chunk, for which the shuffles are
+    drawn, and the bias corrections computed, at once; each row's shuffled
+    training indices for the epochs of a chunk (chunk, R, n); the bias
+    corrections of a chunk's epochs (chunk, batches, 2, R, 1) from
+    :func:`_bias_corrections`; every row's samples, one row after another:
+    the inputs with their column of ones (N, 4) and the targets (N, 3), into
+    which the indices point; each row's draw: its tile of the orders
+    (chunk, n), its sorted training indices and its shuffle Generator; and
+    one validation block per run of rows with equal, nonzero validation
+    sizes: the rows' slice, their parameter views (:func:`unpack`), inputs
+    (S, V, 3) and targets (S, V, 3)."""
 
     sse: np.ndarray
     per_epoch: list
@@ -288,14 +302,18 @@ class _Schedule(NamedTuple):
     chunk: int
     orders: np.ndarray
     bc_chunk: np.ndarray
-    bc_from: list
+    x_all: np.ndarray
+    y_all: np.ndarray
+    draws: list
+    blocks: list
 
 
-def plan(theta, mv, hidden, n_train, batch_size, lr):
-    """The mini-batch steps of one epoch for a stack whose rows are sorted by
-    training-set size ``n_train`` (R,), largest first, at learning rate
-    ``lr``, which fills the plan's (R, P) learning-rate array once for the
-    whole run.
+def plan(theta, mv, hidden, sets, batch_size, lr):
+    """The run of epochs of a stack with one row per item of ``sets``, each
+    (inputs (n, 3), normalized, targets (n, 3), sorted training indices,
+    sorted validation indices, shuffle Generator) of that row's n samples.
+    The rows are sorted by training-set size, largest first; ``lr`` fills
+    the plan's (R, P) learning-rate array once for the whole run.
 
     Batch j runs as one step on the prefix of rows that have a full batch j;
     after the full batches, each block of rows of one size takes its short
@@ -309,20 +327,37 @@ def plan(theta, mv, hidden, n_train, batch_size, lr):
     (:func:`_epoch_sse`). The views stay valid while theta (R, P) and mv are
     updated in place, so one plan serves a whole run.
 
+    The plan copies the rows' samples into one array of inputs, each with
+    its column of ones, and one of targets, and gathers the validation
+    samples of each run of rows with equal validation sizes into one block;
+    it keeps none of the arrays of ``sets``, so the caller's copies go when
+    the call returns.
+
     A chunk holds at most _CHUNK_EPOCHS epochs, as many as fit in
     _CHUNK_BYTES with their (chunk, R, n) shuffled orders, and at least one;
     the plan allocates both arrays. A chunk of one epoch computes its bias
     corrections straight into the array the steps read, so it needs no
     memory of its own.
     """
-    n_train = [int(n) for n in n_train]
+    x_all = np.concatenate([np.column_stack((x, np.ones(len(x)))) for x, *_ in sets])
+    y_all = np.concatenate([y for _, y, *_ in sets])
+    start = np.cumsum([0] + [len(x) for x, *_ in sets]).tolist()
+    train = [t + s for (_, _, t, _, _), s in zip(sets, start)]
+    n_train = [len(t) for t in train]
     rows = len(n_train)
-    x, y = np.ones((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
+    x, y = np.empty((rows, n_train[0], 4)), np.empty((rows, n_train[0], 3))
     batches = -(-n_train[0] // batch_size)
     bc = np.ones((batches, 2, rows, 1))
     chunk = max(1, min(_CHUNK_EPOCHS, _CHUNK_BYTES // (8 * rows * (n_train[0] + 2 * batches))))
     bc_chunk = bc[None] if chunk == 1 else np.ones((chunk,) + bc.shape)
     orders = np.zeros((chunk, rows, n_train[0]), dtype=np.intp)
+    draws = [(orders[:, r, :len(t)], t, rng) for r, (t, (*_, rng)) in enumerate(zip(train, sets))]
+    blocks = []   # one validation call per run of rows with equal validation sizes
+    for lo, hi, nv in runs(len(v) for _, _, _, v, _ in sets):
+        if nv:
+            idx = np.stack([v + s for (_, _, _, v, _), s in zip(sets[lo:hi], start[lo:hi])])
+            blocks.append((slice(lo, hi), unpack(theta[lo:hi], hidden), x_all[idx, :3],
+                           y_all[idx]))
     # a last column of zeros that no batch writes, so that the running sum
     # ends in each row's total (total + 0 is the total: it is not -0)
     sums = np.zeros((2, rows, batches + 1))
@@ -360,7 +395,7 @@ def plan(theta, mv, hidden, n_train, batch_size, lr):
             parts.append((y[lo:hi, full * batch_size:n], (1, 2), sums[0, lo:hi, full]))
     per_epoch = list(runs(-(-n // batch_size) for n in n_train))
     return _Schedule(sums[1, :, -1], per_epoch, np.array(n_train) * 3.0, mv, x, y, bc, parts,
-                     sums, loop, chunk, orders, bc_chunk, [-chunk])
+                     sums, loop, chunk, orders, bc_chunk, x_all, y_all, draws, blocks)
 
 
 def _bias_corrections(first, per_epoch, bc_chunk):
@@ -402,28 +437,38 @@ def _epoch_sse(y, parts, sums):
 def epoch_step(schedule, epoch):
     """Epoch ``epoch`` (from 0) of mini-batch Adam for a stack, mutating its
     parameters and moments in place through the views of ``schedule`` (from
-    :func:`plan`). At the end, every moment entry in the subnormal range is
+    :func:`plan`). The epochs of a plan run in order from 0.
+
+    An epoch that starts a chunk draws every row's shuffles for the chunk and
+    computes the chunk's bias corrections. Each epoch then copies its own
+    bias corrections with one call, gathers each row's inputs and targets in
+    the epoch's shuffled order into ``schedule.x`` and ``schedule.y``, padded
+    to the longest set, and runs the steps; each step writes its output
+    errors over its targets, and the training loss is summed from them once
+    at the end (:func:`_epoch_sse`). Every step reads the learning rate that
+    :func:`plan` filled in; outputs are positional (see the module
+    docstring). After the steps, every moment entry in the subnormal range is
     set to 0 (see the module docstring).
 
-    ``schedule.x`` (R, n, 4) and ``schedule.y`` (R, n, 3) must hold each
-    row's training inputs, followed by a column of ones, and targets in this
-    epoch's shuffled order, padded to the longest set; the caller draws the
-    orders into the plan's ``orders``. The epoch uses up
-    ``schedule.y``: each step writes its output errors over its targets, and
-    the loss is summed from them once at the end (:func:`_epoch_sse`), so
-    the caller writes the targets again before every epoch. Returns each
-    row's mean squared pre-update batch error (R,). Every step reads the
-    learning rate that :func:`plan` filled in; outputs are positional (see
-    the module docstring). The bias corrections are computed for a chunk of
-    epochs from the first epoch outside the last chunk computed, and each
-    epoch copies its own with one call.
+    Returns the (2, R) losses: each row's mean squared pre-update batch
+    error, and its validation MSE after the epoch, or its training loss again
+    where it has no validation samples.
     """
-    sse, per_epoch, n3, mv, _, y, bc, parts, sums, loop, chunk, _, bc_chunk, bc_from = schedule
-    first = bc_from[0]
-    if not first <= epoch < first + chunk:
-        bc_from[0] = first = epoch
+    (sse, per_epoch, n3, mv, x, y, bc, parts, sums, loop, chunk, orders, bc_chunk, x_all, y_all,
+     draws, blocks) = schedule
+    i = epoch % chunk
+    if i == 0:
+        # one call per row: permuted in place along axis 1 of a (chunk, n)
+        # tile of the indices takes the same draws from the generator as one
+        # permutation per epoch. A row that has stopped draws too, from its
+        # own generator, and nothing reads the steps it takes
+        for tile, train, rng in draws:
+            tile[...] = train
+            rng.permuted(tile, axis=1, out=tile)
         _bias_corrections(epoch, per_epoch, bc_chunk)
-    copyto(bc, bc_chunk[epoch - first])   # in a one-epoch chunk, onto itself
+    copyto(bc, bc_chunk[i])   # in a one-epoch chunk, onto itself
+    np.take(x_all, orders[i], axis=0, out=x)
+    np.take(y_all, orders[i], axis=0, out=y)
     for backprop, adam in loop:
         _backprop(*backprop)
         g, g0, g1, gain, m_v, decay, bc, eps, rate, theta = adam
@@ -439,4 +484,7 @@ def epoch_step(schedule, epoch):
         subtract(theta, g0, theta)
     copyto(mv, 0.0, where=np.abs(mv) < _TINY)
     _epoch_sse(y, parts, sums)
-    return sse / n3
+    loss = np.stack((sse / n3,) * 2)   # the validation loss of a row with no validation set
+    for rows, params, x_val, y_val in blocks:
+        loss[1, rows] = mse(*params, x_val, y_val)
+    return loss

@@ -169,25 +169,32 @@ def _cmd_sweep(args, geom, box):
     for path in (args.report, args.json):
         if path is not None:
             _check_output(path)
-    # the JSON mirror would overwrite the report, through any spelling or link
-    if args.json is not None and os.path.realpath(args.json) == os.path.realpath(args.report):
-        raise ValueError(f"--report {args.report} and --json {args.json} name the same file")
     ks = [int(v) for v in args.axis_counts.split(",")]
     if not 1 <= args.repeats <= _MAX_REPEATS:
         raise ValueError(f"--repeats must lie in [1, {_MAX_REPEATS}]")
     base = 1 if args.seed is None else args.seed
     cfg = HarnessConfig(geom=geom, box=box or DEFAULT_BOX, path_kind=args.path)
     ks, seeds = check_sweep(ks, range(base, base + args.repeats), cfg.training)
+    curves = ({(k, s): os.path.join(args.curves, f"k{k}_seed{s}.csv") for k in ks for s in seeds}
+              if args.curves else {})
+    # a later output would overwrite an earlier one that names the same
+    # file, through any spelling or link
+    named = {}
+    for flag, path in [("--report", args.report), ("--json", args.json),
+                       *(("the --curves file", p) for p in curves.values())]:
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), f"{flag} {path}")
+            if first != f"{flag} {path}":
+                raise ValueError(f"{first} and {flag} {path} name the same file")
     # the directory is made after the checks, so that a rejected sweep makes
     # none, and before training, so that a bad directory fails first
     if args.curves:
-        curves_dir = Path(args.curves)
-        curves_dir.mkdir(parents=True, exist_ok=True)
+        Path(args.curves).mkdir(parents=True, exist_ok=True)
     result = run_sweep(ks, seeds, cfg)
 
-    if args.curves:
-        for (k, s), trace in sorted(result.traces.items()):
-            write_training_curve(trace, curves_dir / f"k{k}_seed{s}.csv")
+    if curves:
+        for cell, trace in sorted(result.traces.items()):
+            write_training_curve(trace, curves[cell])
 
     metadata = cfg.metadata()
     metadata.update({"axis_counts": ks, "seeds": seeds})

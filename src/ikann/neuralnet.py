@@ -2,6 +2,10 @@
 layer, 3 linear outputs. Mini-batch Adam, seeded splits and shuffles, optional
 early stopping on validation loss.
 
+This module holds the model's policy: init, split, early stopping and the
+training traces. Each epoch's data path, its shuffles, gathers and
+validation losses, belongs to ``_kernels`` (``plan`` and ``epoch_step``).
+
 All arithmetic is float64. Given identical dataset, config, and seed the
 trained parameters are bitwise reproducible, whether a model is trained alone
 or in lockstep with others, and in whichever process it trains.
@@ -60,10 +64,12 @@ class TrainingConfig:
     early_stopping: bool = True
 
     def __post_init__(self):
-        if self.hidden < 1 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("hidden, batch_size, and max_epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if min(self.hidden, self.batch_size, self.max_epochs, self.patience) < 1:
+            raise ValueError("hidden, batch_size, max_epochs and patience must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not math.isfinite(self.min_delta):
+            raise ValueError("min_delta must be finite")
         if not (0 <= self.val_fraction < 0.5 and 0 <= self.test_fraction < 0.5):
             raise ValueError("val/test fractions must lie in [0, 0.5)")
         if self.seed < 0:
@@ -263,30 +269,15 @@ def _train_stack(rows) -> list:
     stack; returns the results in the order of ``rows``."""
     cfg = rows[0][1]
     # every per-model buffer below is indexed by row, and a row never moves.
-    # Each row's dataset is in x_all, y_all from index start[r]; the indices
-    # below are into them. x_all carries the column of ones of the kernel's
-    # inputs (_kernels.plan)
-    x_all = np.concatenate([np.column_stack((normalize_input(ds.points, ds.box), np.ones(ds.n)))
-                            for ds, _ in rows])
-    y_all = np.concatenate([ds.angles for ds, _ in rows])
-    start = np.cumsum([0] + [ds.n for ds, _ in rows])
-    splits = [split_dataset(ds, c) for ds, c in rows]
-    train_idx = [t + s for (t, _), s in zip(splits, start)]
-    val_idx = [v + s for (_, v), s in zip(splits, start)]
-    n_train = [len(t) for t in train_idx]
-
+    # The plan takes each row's normalized inputs, targets, split and shuffle
+    # stream and copies the data; the list is built in the call, so that no
+    # per-row copy outlives it
     theta = np.stack([_flat_row(init_params(cfg.hidden, c.seed)) for _, c in rows])
-    mv = np.zeros((2,) + theta.shape)   # Adam's first and second moments
-    schedule = _kernels.plan(theta, mv, cfg.hidden, n_train, cfg.batch_size, cfg.learning_rate)
-    blocks = []   # one validation call per run of equal val sizes
-    for lo, hi, nv in _kernels.runs(len(i) for i in val_idx):
-        if nv:
-            idx = np.stack(val_idx[lo:hi])
-            blocks.append((slice(lo, hi), _kernels.unpack(theta[lo:hi], cfg.hidden),
-                           x_all[idx, :3], y_all[idx]))
+    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), cfg.hidden, [
+        (normalize_input(ds.points, ds.box), ds.angles, *split_dataset(ds, c),
+         np.random.default_rng([c.seed, 2])) for ds, c in rows], cfg.batch_size, cfg.learning_rate)
 
     best = np.zeros_like(theta)
-    rngs = [np.random.default_rng([c.seed, 2]) for _, c in rows]
     # the early-stopping state of every row, updated by masks once per epoch;
     # losses[e][0 | 1, r] is row r's train | validation loss in epoch e
     best_val = np.full(len(rows), math.inf)
@@ -296,29 +287,11 @@ def _train_stack(rows) -> list:
     stopped = np.zeros(len(rows), dtype=bool)
     running = np.ones(len(rows), dtype=bool)
     losses = []
-    # each row's shuffled training indices for a chunk of epochs, drawn in
-    # one call per row: permuted in place along axis 1 of a (chunk, n) tile
-    # of the indices takes the same draws from the generator as one
-    # permutation per epoch. A row that stops mid-chunk has drawn its whole
-    # chunk, and nothing reads the steps it takes after it stops
-    chunk, orders = schedule.chunk, schedule.orders
     for epoch in range(cfg.max_epochs):
-        if epoch % chunk == 0:   # a stopped row repeats its last chunk
-            for r in np.flatnonzero(running).tolist():
-                tile = orders[:, r, :n_train[r]]
-                tile[...] = train_idx[r]
-                rngs[r].permuted(tile, axis=1, out=tile)
-        shuffled = orders[epoch % chunk]
-        loss = np.empty((2, len(rows)))
-        losses.append(loss)
         # divergence surfaces as NonFiniteLoss below; keep the overflow quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            np.take(x_all, shuffled, axis=0, out=schedule.x)
-            np.take(y_all, shuffled, axis=0, out=schedule.y)
-            loss[0] = _kernels.epoch_step(schedule, epoch)
-            loss[1] = loss[0]
-            for sl, params, x_val, y_val in blocks:
-                loss[1, sl] = _kernels.mse(*params, x_val, y_val)
+            loss = _kernels.epoch_step(schedule, epoch)
+            losses.append(loss)
             epochs_run[running] = epoch + 1
             ok = running & np.isfinite(loss).all(axis=0)
             val = loss[1]

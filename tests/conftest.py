@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ikann import _kernels
 from ikann._kernels import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from ikann.kinematics import DEFAULT_GEOMETRY
 from ikann.neuralnet import Gradients, NetworkParams, TrainingConfig, predict, train
@@ -74,6 +75,34 @@ def adam_step(p, grads, state, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_
         new_m[name], new_v[name] = m, v
         new_p[name] = getattr(p, name) - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return NetworkParams(**new_p), AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t)
+
+
+class InOrder:
+    """A stand-in for a row's shuffle Generator: its ``permuted`` leaves the
+    tile as it is, so the row takes its training samples in index order in
+    every epoch."""
+
+    def permuted(self, tile, axis, out):
+        return out
+
+
+def in_order_plan(theta, data, hidden=16, batch_size=8, lr=0.001, mv=None):
+    """``_kernels.plan`` of a stack whose row r trains on all of its samples
+    ``data[r]``, an (x (n, 3), y (n, 3)) pair, in index order every epoch
+    (:class:`InOrder`), with no validation samples; ``mv`` defaults to zero
+    moments. Each slot of an epoch past a row's own set gathers a sample of
+    NaN inputs and targets, which no row trains on, so a step or a loss sum
+    that read the padding would show."""
+    mv = np.zeros((2,) + theta.shape) if mv is None else mv
+    nan = np.full((1, 3), np.nan)
+    sets = [(x, y, np.arange(len(x)), np.arange(0), InOrder()) for x, y in data]
+    x, y, *rest = sets[-1]
+    sets[-1] = (np.concatenate((x, nan)), np.concatenate((y, nan)), *rest)
+    schedule = _kernels.plan(theta, mv, hidden, sets, batch_size, lr)
+    nan_index = sum(len(x) for x, _ in data)   # the NaN sample, after every row's data
+    for r, (x, _) in enumerate(data):
+        schedule.orders[:, r, len(x):] = nan_index
+    return schedule
 
 
 @pytest.fixture(scope="session")

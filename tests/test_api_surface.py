@@ -1,7 +1,7 @@
 """Tooling guard on the package's surface: every public top-level name has
 a caller in code outside the tests, every private top-level name has one in
-the package, and the package exports exactly the names the README's
-"Library" section imports."""
+the package, the package exports exactly the names the README's "Library"
+section imports, and neuralnet reaches the kernels through one seam."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,26 @@ def test_star_import_is_the_readme_library():
     exec("from ikann import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(readme_library_names()) == sorted(ikann.__all__)
+
+
+def attributes_read(tree, name):
+    """The attributes that the code of a module reads from the name
+    ``name``, and the names it imports from a module of that name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == name:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == name:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_neuralnet_trains_through_the_epoch_seam():
+    # an epoch's data path, its draws, gathers and validation, belongs to
+    # _kernels: neuralnet plans a run and steps its epochs, reads nothing of
+    # the plan, and otherwise only unpacks, runs and differentiates a model
+    tree = ast.parse((ROOT / "src" / "ikann" / "neuralnet.py").read_text())
+    assert attributes_read(tree, "_kernels") <= {"plan", "epoch_step", "unpack", "forward",
+                                                 "gradients"}
+    assert attributes_read(tree, "schedule") == set()

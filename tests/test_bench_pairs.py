@@ -34,6 +34,8 @@ def test_side_summary(bench_pairs):
     assert out["wall_s"] == {"q1": 1.5, "median": 2.0, "q3": 2.5}
     assert out["peak_rss_mb"] == {"q1": 40.0, "median": 40.0, "q3": 40.5}
     assert out["wall_s_runs"] == [1.0, 3.0, 2.0]
+    assert out["setup_s_runs"] == [0.2, 0.2, 0.2]
+    assert out["peak_rss_mb_runs"] == [41.0, 40.0, 40.0]
     assert (out["all_correct"], out["failed"], out["attempted"]) == (False, 2, 30)
 
 
@@ -89,3 +91,34 @@ def test_environment_keeps_the_bytecode_setting(bench_pairs, monkeypatch):
         "cpu_affinity": 2, "PYTHONDONTWRITEBYTECODE": "1"}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.environment(env)["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_verdict_against_the_bound(bench_pairs):
+    tight = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98]       # median 1.0, quartile distance 0.015
+    wide = [1.0, 1.4, 0.7, 1.2, 0.8, 1.1]            # median 1.05, quartile distance 0.325
+    # a median worse by more than the bound's share of the parent's median
+    assert bench_pairs.verdict(tight, [1.3] * 6, 0.25, "lower") == "worse"
+    assert bench_pairs.verdict(tight, [0.7] * 6, 0.25, "higher") == "worse"
+    # within the bound, from a parent whose spread the bound resolves
+    assert bench_pairs.verdict(tight, [1.2] * 6, 0.25, "lower") == "no_worse"
+    assert bench_pairs.verdict(tight, [0.8] * 6, 0.25, "higher") == "no_worse"
+    # the parent's own spread exceeds the bound: unresolved, unless every
+    # change run beats every parent run
+    assert bench_pairs.verdict(wide, [1.0] * 6, 0.25, "lower") == "unresolved"
+    assert bench_pairs.verdict(wide, [0.69] * 6, 0.25, "lower") == "no_worse"
+    assert bench_pairs.verdict(wide, [1.41] * 6, 0.25, "higher") == "no_worse"
+    # a worse median is worse, whatever the spread
+    assert bench_pairs.verdict(wide, [1.4] * 6, 0.25, "lower") == "worse"
+
+
+def test_verdicts_read_the_benchmark_bounds(bench_pairs):
+    bounds = bench_pairs.load_bounds(SCRIPT.parents[1] / "BENCHMARK.json")
+    assert set(bounds) == set(bench_pairs.METRICS)
+    assert bounds["peak_rss_mb"] == (0.1, "lower")
+    parent = [result(1.0 + i / 100, setup=0.2, rss=40.0) for i in range(10)]
+    change = [result(1.0 + i / 100, setup=0.3, rss=40.02) for i in range(10)]
+    block = {"parent": bench_pairs.side_summary(parent),
+             "change": bench_pairs.side_summary(change)}
+    # setup_s is 50% worse, the bound 25%; peak_rss_mb 0.05% worse, the bound 10%
+    assert bench_pairs.verdicts(block, bounds) == {
+        "setup_s": "worse", "wall_s": "no_worse", "peak_rss_mb": "no_worse"}

@@ -425,3 +425,29 @@ def test_sweep_report_and_json_on_one_file_fail_before_the_work(tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "r.csv" in err and mirror in err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("flag, curves, output", [
+    ("--report", "D", "D/k2_seed1.csv"),
+    ("--json", "./D", "D/../D/k3_seed2.csv"),
+])
+def test_sweep_output_on_a_curves_file_fails_before_the_work(tmp_path, capsys, monkeypatch,
+                                                             flag, curves, output):
+    # --curves D writes D/k{k}_seed{s}.csv for every cell of the sweep, which
+    # would overwrite a report or JSON mirror of that name; such a sweep is
+    # rejected before any cell trains, and nothing is written
+    def must_not_train(*args):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr("ikann.cli.run_sweep", must_not_train)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    outputs = {"--report": "r.csv", "--json": "r.json", flag: output}
+    rc = main(["sweep", "--axis-counts", "2,3", "--repeats", "2", "--curves", curves,
+               "--report", outputs["--report"], "--json", outputs["--json"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{flag} {output}" in err
+    assert f"the --curves file {os.path.join(curves, os.path.basename(output))}" in err
+    assert sorted(os.listdir(tmp_path)) == ["D"] and not os.listdir(tmp_path / "D")

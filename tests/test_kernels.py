@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adam_step, init_adam_state
+from conftest import adam_step, in_order_plan, init_adam_state
 from ikann import _kernels
 from ikann.neuralnet import NetworkParams, backward, init_params, predict
 
@@ -65,80 +65,52 @@ def reference_epoch(params, x, y, batch_size, lr, beta1, beta2, eps, step, momen
     return params, step, sse / (len(x) * 3.0)
 
 
-def stacked_epoch(theta, n_train, x, y, epoch):
-    """Epoch ``epoch`` of a stack from zero moments; returns each row's loss."""
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
-    schedule.x[..., :3], schedule.y[:] = x, y
-    return _kernels.epoch_step(schedule, epoch)
+def random_data(rng, n_train):
+    """One (x (n, 3), y (n, 3)) pair of random samples per training-set size."""
+    return [(rng.uniform(0, 1, (n, 3)), rng.normal(0, 1, (n, 3))) for n in n_train]
 
 
-def assert_rows_match_reference(seeds, n_train, epoch, x, y):
-    # each row has taken epoch * (its steps per epoch) Adam steps before
+def assert_epochs_match_reference(seeds, data, epochs, lr=0.001):
+    """Train a stack of one row per seed for ``epochs`` epochs in order at
+    learning rate ``lr``, row r on ``data[r]`` in index order
+    (``in_order_plan``, which pads with NaN), and assert that after every
+    epoch each row's loss and parameters are bitwise those of the reference
+    epochs of the model alone, which start from zero moments. A row has no
+    validation samples, so its validation loss is its training loss."""
     theta = np.stack([flat_row(s) for s in seeds])
-    losses = stacked_epoch(theta, n_train, x, y, epoch)
-    for row, (seed, n) in enumerate(zip(seeds, n_train)):
-        step0 = epoch * -(-n // 8)
-        ref, ref_step, ref_loss = reference_epoch(
-            _kernels.unpack(flat_row(seed), 16), x[row, :n], y[row, :n],
-            8, 0.001, 0.9, 0.999, 1e-8, step0)
-        assert ref_step == step0 + -(-n // 8)
-        assert losses[row] == ref_loss
-        for got, want in zip(_kernels.unpack(theta[row], 16), ref):
-            np.testing.assert_array_equal(got, want)
+    schedule = in_order_plan(theta, data, lr=lr)
+    refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
+    moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
+    for epoch in range(epochs):
+        losses = _kernels.epoch_step(schedule, epoch)
+        for row, (x, y) in enumerate(data):
+            # each row has taken epoch * (its steps per epoch) Adam steps before
+            q = -(-len(x) // 8)
+            refs[row], step, loss = reference_epoch(refs[row], x, y, 8, lr, 0.9, 0.999, 1e-8,
+                                                    epoch * q, moments[row])
+            assert step == (epoch + 1) * q
+            assert losses[:, row].tolist() == [loss, loss], (epoch, row)
+            for got, want in zip(_kernels.unpack(theta[row], 16), refs[row]):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_stacked_epoch_step_matches_single_models():
     # every model of a stack takes bitwise the reference step; n = 25 with
     # batches of 8 leaves a one-row tail batch, as on the k = 3 grid
     seeds = (11, 12, 13)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, (len(seeds), 25, 3))
-    y = rng.normal(0, 1, (len(seeds), 25, 3))
+    data = random_data(np.random.default_rng(5), [25] * len(seeds))
     for stack in ([0], [0, 1, 2]):
-        assert_rows_match_reference([seeds[i] for i in stack], [25] * len(stack),
-                                    0, x[stack], y[stack])
+        assert_epochs_match_reference([seeds[i] for i in stack], [data[i] for i in stack], 1)
 
 
 def test_mixed_size_stack_matches_single_models():
     # rows sorted by training-set size: two of 25 (a shared one-row tail), 12
     # (one full batch and a tail of 4) and 6, which has no full batch, as on
-    # the k = 2 grid; in epoch 10 each row has its own Adam step count (40,
+    # the k = 2 grid; by epoch 10 each row has its own Adam step count (40,
     # 40, 20 and 10). The padding past each row's own set is NaN, so a step
     # that read it would show.
-    seeds, n_train = (11, 12, 13, 14), [25, 25, 12, 6]
-    rng = np.random.default_rng(6)
-    x = rng.uniform(0, 1, (4, 25, 3))
-    y = rng.normal(0, 1, (4, 25, 3))
-    for row, n in enumerate(n_train):
-        x[row, n:] = y[row, n:] = np.nan
-    assert_rows_match_reference(seeds, n_train, 10, x, y)
-
-
-def assert_epochs_match_reference(seeds, n_train, epochs, rng, lr=0.001):
-    """Train a stack ``epochs`` epochs at learning rate ``lr`` on fresh data
-    each epoch, as ``_train_stack`` does, and assert that every row's loss
-    and parameters are bitwise those of the reference epochs of the model
-    alone. The padding past each row's own set is NaN, so a step or a loss
-    sum that read it would show."""
-    rows, longest = len(seeds), n_train[0]
-    theta = np.stack([flat_row(s) for s in seeds])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, lr)
-    refs = [_kernels.unpack(flat_row(s), 16) for s in seeds]
-    moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ref] for ref in refs]
-    for epoch in range(epochs):
-        x = rng.uniform(0, 1, (rows, longest, 3))
-        y = rng.normal(0, 1, (rows, longest, 3))
-        for row, n in enumerate(n_train):
-            x[row, n:] = y[row, n:] = np.nan
-        schedule.x[..., :3], schedule.y[:] = x, y   # plan starts the last column at 1
-        losses = _kernels.epoch_step(schedule, epoch)
-        for row, n in enumerate(n_train):
-            refs[row], _, loss = reference_epoch(refs[row], x[row, :n], y[row, :n], 8, lr,
-                                                 0.9, 0.999, 1e-8, epoch * -(-n // 8),
-                                                 moments[row])
-            assert losses[row] == loss, (epoch, row)
-            for got, want in zip(_kernels.unpack(theta[row], 16), refs[row]):
-                np.testing.assert_array_equal(got, want)
+    assert_epochs_match_reference((11, 12, 13, 14),
+                                  random_data(np.random.default_rng(6), [25, 25, 12, 6]), 11)
 
 
 def test_ones_columns_hold_across_steps_of_every_shape():
@@ -148,8 +120,9 @@ def test_ones_columns_hold_across_steps_of_every_shape():
     # of the inputs and of the shared activations; every row takes bitwise the
     # reference steps, whose bias gradients are batch sums, after steps of
     # every other shape have run.
-    assert_epochs_match_reference((11, 12, 13, 14, 15, 16), [309, 194, 113, 58, 25, 6], 3,
-                                  np.random.default_rng(8))
+    assert_epochs_match_reference((11, 12, 13, 14, 15, 16),
+                                  random_data(np.random.default_rng(8),
+                                              [309, 194, 113, 58, 25, 6]), 3)
 
 
 def test_epoch_loss_is_the_sum_of_the_step_losses():
@@ -161,8 +134,9 @@ def test_epoch_loss_is_the_sum_of_the_step_losses():
     # row, where a reduce of the batch sums transposed is pairwise too. A
     # short batch summed over a zero-padded slot of 8 would round differently.
     rng = np.random.default_rng(10)
-    assert_epochs_match_reference((11, 12, 13, 14, 15, 16), [309, 309, 25, 25, 6, 6], 3, rng)
-    assert_epochs_match_reference((17,), [309], 3, rng)
+    assert_epochs_match_reference((11, 12, 13, 14, 15, 16),
+                                  random_data(rng, [309, 309, 25, 25, 6, 6]), 3)
+    assert_epochs_match_reference((17,), random_data(rng, [309]), 3)
 
 
 def test_one_plan_takes_each_calls_learning_rate():
@@ -171,7 +145,7 @@ def test_one_plan_takes_each_calls_learning_rate():
     # epochs bitwise the reference epochs at those rates
     rng = np.random.default_rng(11)
     for lr in (0.004, 0.02, 0.001):
-        assert_epochs_match_reference((11, 12, 13), [25, 25, 12], 3, rng, lr=lr)
+        assert_epochs_match_reference((11, 12, 13), random_data(rng, [25, 25, 12]), 3, lr=lr)
 
 
 BACKPROP_PARAMETERS = list(inspect.signature(_kernels._backprop).parameters)
@@ -226,11 +200,8 @@ def test_step_ufuncs_take_full_shape_arrays(monkeypatch, n_train):
     for name in ("add", "divide", "greater", "logical_not", "maximum", "multiply", "sqrt",
                  "subtract"):
         monkeypatch.setattr(_kernels, name, Recorder(getattr(np, name), calls))
-    rng = np.random.default_rng(12)
     theta = np.stack([flat_row(s) for s in range(len(n_train))])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
-    schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
-    schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
+    schedule = in_order_plan(theta, random_data(np.random.default_rng(12), n_train))
     _kernels.epoch_step(schedule, 0)
 
     # 6 elementwise calls in _backprop and 10 in the Adam update per step,
@@ -267,12 +238,12 @@ def test_first_product_keeps_the_bits_of_a_separate_b1_add(rows, batch, hidden, 
     # the kernel folds b1 into the first product where that product is
     # matrix-matrix (batch and hidden >= 2), and adds it after a
     # matrix-vector product. Either way the output errors of gradients, and
-    # the loss of a one-step epoch, are bitwise the reference's, which adds
-    # b1 after a 2-D np.dot. Where the rows of ones keep the bits of batch
-    # sums (batch <= 15, hidden >= 2; see the _kernels docstring), the
-    # gradients and the stacked epoch's parameters are bitwise the
-    # reference's too; elsewhere they are bitwise the same model alone. The
-    # parameters are random, so b1 is not 0.
+    # the loss of a first one-step epoch, are bitwise the reference's, which
+    # adds b1 after a 2-D np.dot. Where the rows of ones keep the bits of
+    # batch sums (batch <= 15, hidden >= 2; see the _kernels docstring), the
+    # gradients, and the losses and parameters of the stacked epochs 0 to
+    # ``epoch``, are bitwise the reference's too; elsewhere they are bitwise
+    # the same model alone. The parameters are random, so b1 is not 0.
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-1, 1, (rows, 7 * hidden + 3))
     x = rng.uniform(0, 1, (rows, batch, 3))
@@ -290,23 +261,31 @@ def test_first_product_keeps_the_bits_of_a_separate_b1_add(rows, batch, hidden, 
                                           x[r:r + 1], y[r:r + 1])
             assert g[r].tobytes() == alone[0].tobytes()
 
-    def one_step_epoch(params, xs, ys):
-        schedule = _kernels.plan(params, np.zeros((2,) + params.shape), hidden,
-                                 [batch] * len(params), batch, 0.001)
-        schedule.x[..., :3], schedule.y[:] = xs, ys
-        return _kernels.epoch_step(schedule, epoch)
+    def epochs(params, xs, ys):
+        """The training losses (epoch + 1, S) of epochs 0..epoch of a stack on
+        xs, ys, one step each."""
+        schedule = in_order_plan(params, list(zip(xs, ys)), hidden, batch)
+        return np.array([_kernels.epoch_step(schedule, e)[0] for e in range(epoch + 1)])
 
     stacked = theta.copy()
-    losses = one_step_epoch(stacked, x, y)
+    losses = epochs(stacked, x, y)
     for r in range(rows):
-        want, _, want_loss = reference_epoch(_kernels.unpack(theta[r], hidden), x[r], y[r],
-                                             batch, 0.001, 0.9, 0.999, 1e-8, epoch)
-        assert losses[r] == want_loss
+        want = _kernels.unpack(theta[r], hidden)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in want]
+        want_losses = []
+        for e in range(epoch + 1):
+            want, _, loss = reference_epoch(want, x[r], y[r], batch, 0.001, 0.9, 0.999, 1e-8, e,
+                                            moments)
+            want_losses.append(loss)
+        # epoch 0 starts from the same parameters, so its loss is the
+        # reference's either way
+        assert losses[0, r] == want_losses[0]
         if like_reference:
+            assert losses[:, r].tobytes() == np.array(want_losses).tobytes()
             assert stacked[r].tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
         else:
             alone = theta[r:r + 1].copy()
-            one_step_epoch(alone, x[r:r + 1], y[r:r + 1])
+            assert losses[:, r].tobytes() == epochs(alone, x[r:r + 1], y[r:r + 1])[:, 0].tobytes()
             assert stacked[r].tobytes() == alone[0].tobytes()
 
 
@@ -317,7 +296,7 @@ def test_chunks_keep_their_byte_bound():
     # the steps read, so it costs no memory of its own
     for rows, n, chunk in ((5, 460, 16), (30, 309, 11), (300, 460, 1)):
         theta = np.zeros((rows, 7 * 16 + 3))
-        schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, [n] * rows, 8, 0.001)
+        schedule = in_order_plan(theta, [(np.zeros((n, 3)),) * 2] * rows)
         assert schedule.chunk == chunk == len(schedule.bc_chunk)
         assert schedule.orders.shape == (chunk, rows, n) and schedule.orders.dtype == np.intp
         per_epoch = schedule.bc.nbytes + schedule.orders[0].nbytes
@@ -331,9 +310,8 @@ def test_plan_of_default_sweep():
     n_train = [n for n in (460, 309, 194, 113, 58, 25, 6) for _ in range(5)]
     theta = np.zeros((len(n_train), 7 * 16 + 3))
     mv = np.zeros((2,) + theta.shape)
-    schedule = _kernels.plan(theta, mv, 16, n_train, 8, 0.001)
-    _, per_epoch, n3, moments, *_ = schedule
-    assert moments is mv
+    schedule = in_order_plan(theta, [(np.zeros((n, 3)),) * 2 for n in n_train], mv=mv)
+    assert schedule.mv is mv
     steps = [step_place(schedule, step) for step in schedule.loop]
     assert len(steps) == 57 + 7
     prefix = steps[:57]
@@ -344,8 +322,9 @@ def test_plan_of_default_sweep():
     assert tails[0] == (slice(0, 5), slice(456, 460), 57)
     assert tails[-1] == (slice(30, 35), slice(0, 6), 0)
     # steps per epoch 58, 39, 25, 15, 8, 4 and 1; loss divisors 3 * n_train
-    assert per_epoch == [(5 * i, 5 * i + 5, q) for i, q in enumerate((58, 39, 25, 15, 8, 4, 1))]
-    np.testing.assert_array_equal(n3, np.array(n_train) * 3.0)
+    assert schedule.per_epoch == [(5 * i, 5 * i + 5, q)
+                                  for i, q in enumerate((58, 39, 25, 15, 8, 4, 1))]
+    np.testing.assert_array_equal(schedule.n3, np.array(n_train) * 3.0)
 
 
 def test_steps_of_one_shape_share_scratch_and_keep_their_ones():
@@ -353,9 +332,8 @@ def test_steps_of_one_shape_share_scratch_and_keep_their_ones():
     # epoch; the steps of one shape hold one _Scratch, and after an epoch
     # every step's activations still end in their column of ones
     n_train = [n for n in (309, 194, 113, 58, 25, 6) for _ in range(5)]
-    rng = np.random.default_rng(5)
     theta = np.stack([flat_row(s) for s in range(len(n_train))])
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 16, n_train, 8, 0.001)
+    schedule = in_order_plan(theta, random_data(np.random.default_rng(5), n_train))
     # each step's scratch arrays, as its backprop arguments hold them: the
     # pre-activations, and the activations with their column of ones
     scratch = [(backprop_arg(step, "pre"), backprop_arg(step, "h1t").transpose(0, 2, 1))
@@ -370,8 +348,6 @@ def test_steps_of_one_shape_share_scratch_and_keep_their_ones():
         assert by_shape.setdefault(pre.shape, pre) is pre
     assert len(by_shape) < len(scratch)
 
-    schedule.x[..., :3] = rng.uniform(0, 1, schedule.x[..., :3].shape)
-    schedule.y[:] = rng.normal(0, 1, schedule.y.shape)
     _kernels.epoch_step(schedule, 0)
     for _, h1 in scratch:
         np.testing.assert_array_equal(h1[..., 16], 1.0)
@@ -405,11 +381,9 @@ def train_dead_unit(epochs, moment_entries):
     theta = flat_of(p)[None]
     mv = np.zeros((2,) + theta.shape)
     mv[0, 0] = flat_of(state.m)
-    schedule = _kernels.plan(theta, mv, hidden, [n], 8, lr)
-    schedule.x[0, :, :3] = x
+    schedule = in_order_plan(theta, [(x, y)], hidden, lr=lr, mv=mv)
     tiny = np.finfo(float).tiny
     for epoch in range(epochs):
-        schedule.y[0] = y   # an epoch writes its errors over its targets
         _kernels.epoch_step(schedule, epoch)
         assert not np.any((mv != 0) & (np.abs(mv) < tiny)), epoch
         for start in range(0, n, 8):

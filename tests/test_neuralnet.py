@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import adam_step, init_adam_state, loss
+from conftest import adam_step, in_order_plan, init_adam_state, loss
 from ikann import _kernels, neuralnet
 from ikann.errors import IkannError, InsufficientData, NonFiniteLoss, UnreachableGridPoint
 from ikann.neuralnet import (Gradients, NetworkParams, TrainingConfig,
@@ -181,10 +181,8 @@ def test_adam_epoch_matches_kernel(k3_dataset):
 
     p2 = init_params(4, 3)
     theta = np.concatenate((p2.w1.T.ravel(), p2.b1, p2.w2.T.ravel(), p2.b2))[None]
-    schedule = _kernels.plan(theta, np.zeros((2,) + theta.shape), 4, [ds.n], cfg.batch_size,
-                             cfg.learning_rate)
+    schedule = in_order_plan(theta, [(x[order], y[order])], 4, cfg.batch_size, cfg.learning_rate)
     assert len(schedule.loop) == state.t
-    schedule.x[0, :, :3], schedule.y[0] = x[order], y[order]
     _kernels.epoch_step(schedule, 0)
     a1, b1, a2, b2 = _kernels.unpack(theta[0], 4)
     np.testing.assert_allclose(a1.T, p.w1, rtol=1e-12, atol=1e-15)
@@ -280,6 +278,16 @@ def test_train_divergence_raises(box):
     ds = generate_grid(box, 2)
     with pytest.raises(NonFiniteLoss):
         train(ds, TrainingConfig(seed=1, learning_rate=1e150))
+
+
+def test_without_validation_samples_val_loss_is_train_loss(box):
+    # val_fraction = 0 leaves every model without validation samples; each
+    # epoch then reports the training loss as the validation loss, which
+    # early stopping watches. One stack of k = 3 and k = 2 models
+    jobs = [(generate_grid(box, k), TrainingConfig(seed=s, val_fraction=0.0, max_epochs=40))
+            for k in (3, 2) for s in (1, 2)]
+    for _, trace in neuralnet._train_stack(jobs):
+        assert trace.epochs_run > 1 and trace.val_loss == trace.train_loss
 
 
 def recorded_epochs(monkeypatch):
@@ -633,3 +641,15 @@ def test_config_validation():
         TrainingConfig(batch_size=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainingConfig(seed=-1)
+    # an infinite rate would pass to fail as NonFiniteLoss at epoch 1, a NaN
+    # min_delta would stop every model after ``patience`` epochs, flagged as
+    # an early stop, and a patience below 1 means nothing
+    for lr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainingConfig(learning_rate=lr)
+    for min_delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="min_delta must be finite"):
+            TrainingConfig(min_delta=min_delta)
+    for patience in (0, -3):
+        with pytest.raises(ValueError, match="and patience must be >= 1"):
+            TrainingConfig(patience=patience)

@@ -13,14 +13,17 @@ from the working tree. The clones start without bytecode caches, and where
 compiles ``src/ikann/`` (about 15 ms on a 2-core x86-64 host): 5 times per
 ``cli-single`` round and once per set-up sample. The record's
 ``environment`` keeps that variable's value, or null where it is unset,
-since it moves ``setup_s`` and ``cli-single``'s ``wall_s``. Pair i runs ``perfbench/run.py --workload W --seed
-seed0 + i --seconds S --trace 0`` on both sides, the parent first in even
-pairs and the change first in odd ones, one run at a time. Per side the
-record keeps the quartiles (inclusive method) of ``setup_s``, ``wall_s`` and
-``peak_rss_mb`` over the pairs, the runs' ``wall_s``, whether every run was
-correct, and the operations attempted and failed; per workload the number of
-pairs in which the change's ``wall_s`` was lower and the change of the median
-in percent. After the pairs, each side makes one ``--trace 1`` run with seed
+since it moves ``setup_s`` and ``cli-single``'s ``wall_s``. Pair i runs
+``perfbench/run.py --workload W --seed seed0 + i --seconds S --trace 0`` on
+both sides, the parent first in even pairs and the change first in odd
+ones, one run at a time. Per side the record keeps the quartiles (inclusive
+method) of ``setup_s``, ``wall_s`` and ``peak_rss_mb`` over the pairs, each
+metric's runs (``<metric>_runs``), whether every run was correct, and the
+operations attempted and failed; per workload the number of pairs in which
+the change's ``wall_s`` was lower, the change of the median in percent, and
+a no-regression verdict per metric (:func:`verdict`) against the ``bound``
+and ``better`` that the repository's ``BENCHMARK.json`` gives it, which is
+only read. After the pairs, each side makes one ``--trace 1`` run with seed
 ``seed0 + pairs``, parent first, and the record keeps both sides' per-layer
 metrics, so that it shows in which layer a difference appears.
 
@@ -89,8 +92,41 @@ def side_summary(results):
     out["all_correct"] = all(r["correct"] for r in results)
     out["failed"] = sum(r["failed"] for r in results)
     out["attempted"] = sum(r["attempted"] for r in results)
-    out["wall_s_runs"] = [round(r["metrics"]["wall_s"]["value"], 4) for r in results]
+    for m in METRICS:
+        out[f"{m}_runs"] = [round(r["metrics"][m]["value"], 4) for r in results]
     return out
+
+
+def load_bounds(path):
+    """{metric: (bound, better)} of the end-to-end metrics of the
+    ``BENCHMARK.json`` at ``path``."""
+    with open(path) as fh:
+        return {m["name"]: (m["bound"], m["better"]) for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(parent_runs, change_runs, bound, better):
+    """Whether the change keeps a metric no worse than the parent, where
+    ``bound`` is the share of the parent's median by which it may get worse
+    and ``better`` is "lower" or "higher": "worse" when the change's median is
+    worse than the parent's by more than the bound; "unresolved" when the
+    parent's quartile distance is more than the bound's share of its median
+    and not every change run beats every parent run; "no_worse" otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = statistics.quantiles(parent_runs, n=4, method="inclusive")
+    margin = bound * abs(median)
+    if sign * (statistics.median(change_runs) - median) > margin:
+        return "worse"
+    if q3 - q1 > margin and not max(sign * c for c in change_runs) < \
+            min(sign * p for p in parent_runs):
+        return "unresolved"
+    return "no_worse"
+
+
+def verdicts(block, bounds):
+    """The :func:`verdict` of each metric of ``bounds`` (:func:`load_bounds`)
+    over the runs of a workload block."""
+    return {m: verdict(block["parent"][f"{m}_runs"], block["change"][f"{m}_runs"], *bounds[m])
+            for m in METRICS}
 
 
 def compare(trees, workload, pairs, seed0, seconds):
@@ -150,6 +186,7 @@ def main():
         parser.error("--pairs must be at least 2 for quartiles")
 
     repo = git("rev-parse", "--show-toplevel")
+    bounds = load_bounds(os.path.join(repo, "BENCHMARK.json"))
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     os.makedirs(args.work, exist_ok=True)
     trees = {side: checkout(repo, sha, os.path.join(args.work, side))
@@ -165,6 +202,7 @@ def main():
     workloads = record.setdefault("workloads", {})
     for workload in args.workload:
         env, block = compare(trees, workload, args.pairs, args.seed0, args.seconds)
+        block["verdicts"] = verdicts(block, bounds)
         record["environment"] = environment(env)
         record["command"] = "python3 perfbench/run.py --workload W --seed N --seconds " \
                             f"{args.seconds} --trace 0"
